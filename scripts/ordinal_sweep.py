@@ -12,6 +12,7 @@ import argparse
 from chainposet import (
     build_chain_graph,
     chain_components,
+    condense,
     grid_for,
     is_linear,
     make_ordinal_map,
@@ -42,7 +43,7 @@ def main() -> None:
         label = predicted_label(spec)
         for n in resolutions:
             graph = build_chain_graph(spec, grid_for(spec, n))
-            poset = chain_components(graph)
+            poset = chain_components(condense(graph))
             linear = "yes" if is_linear(poset) else "no"
             print(f"{text:>10} {n:>6} {len(poset):>10} {linear:>6} {label:>10}")
 

@@ -328,8 +328,13 @@ def strongly_connected_components(
 
 @dataclass(frozen=True)
 class Condensation:
-    """SCC quotient of a chain graph, in sinks-first emission order."""
+    """SCC quotient of a chain graph, in sinks-first emission order.
 
+    The chain components, their order and the Lyapunov ranks are all read
+    off this one value, so each graph needs condensing only once.
+    """
+
+    grid: Grid
     comp_of: Tuple[int, ...]
     members: Tuple[Tuple[int, ...], ...]
     successors: Tuple[Tuple[int, ...], ...]
@@ -349,6 +354,7 @@ def condense(graph: ChainGraph) -> Condensation:
             if cj != ci:
                 succs[ci].add(cj)
     return Condensation(
+        graph.grid,
         tuple(comp_of),
         tuple(tuple(c) for c in comps),
         tuple(tuple(sorted(s)) for s in succs),
@@ -386,8 +392,7 @@ class ComponentPoset:
         return a == b or (a, b) in self.pairs or (b, a) in self.pairs
 
 
-def chain_components(graph: ChainGraph) -> ComponentPoset:
-    cond = condense(graph)
+def chain_components(cond: Condensation) -> ComponentPoset:
     rec_ids = [c for c, flag in enumerate(cond.recurrent) if flag]
     rec_ids.sort(key=lambda c: cond.members[c][0])
     pos = {c: k for k, c in enumerate(rec_ids)}
@@ -407,16 +412,16 @@ def chain_components(graph: ChainGraph) -> ComponentPoset:
                 pairs.add((k, here))
             below >>= 1
             k += 1
+    grid = cond.grid
     components = []
     for c in rec_ids:
         cells = cond.members[c]
-        span = (graph.grid.cell(cells[0])[0], graph.grid.cell(cells[-1])[1])
-        components.append(Component(cells, graph.grid.midpoint(cells[0]), span))
-    return ComponentPoset(graph.grid, tuple(components), frozenset(pairs))
+        span = (grid.cell(cells[0])[0], grid.cell(cells[-1])[1])
+        components.append(Component(cells, grid.midpoint(cells[0]), span))
+    return ComponentPoset(grid, tuple(components), frozenset(pairs))
 
 
-def recurrent_cells(graph: ChainGraph) -> Tuple[int, ...]:
-    cond = condense(graph)
+def recurrent_cells(cond: Condensation) -> Tuple[int, ...]:
     out = []
     for c, flag in enumerate(cond.recurrent):
         if flag:
@@ -424,13 +429,12 @@ def recurrent_cells(graph: ChainGraph) -> Tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def reaches_recurrent(graph: ChainGraph) -> Tuple[bool, ...]:
+def reaches_recurrent(cond: Condensation) -> Tuple[bool, ...]:
     """Per cell: can some chain from it enter a recurrent component."""
-    cond = condense(graph)
     ok = [False] * len(cond.members)
     for c in range(len(cond.members)):
         ok[c] = cond.recurrent[c] or any(ok[s] for s in cond.successors[c])
-    return tuple(ok[cond.comp_of[i]] for i in range(graph.n))
+    return tuple(ok[c] for c in cond.comp_of)
 
 
 def is_edge_subset(inner: ChainGraph, outer: ChainGraph) -> bool:

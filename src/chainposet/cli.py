@@ -8,14 +8,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .chaingraph import (
     ChainGraph,
     ComponentPoset,
+    Condensation,
     EpsilonField,
     build_chain_graph,
     chain_components,
+    condense,
     constant_field,
     grid_for,
     dump_adjacency,
@@ -25,18 +27,7 @@ from .chaingraph import (
 )
 from .config import AnalysisConfig, ConfigError, EpsSpec, SystemParams, load_config
 from .lyapunov import synthesize, verify
-from .ordinal import (
-    ONE,
-    ZERO,
-    Ordinal,
-    OrdinalKind,
-    add,
-    classify,
-    format_ordinal,
-    fundamental,
-    omega_power,
-    tail_split,
-)
+from .ordinal import format_ordinal
 from .poset import (
     PosetError,
     RefinementTrace,
@@ -51,94 +42,16 @@ from .poset import (
     to_dot,
 )
 from .systems import (
-    CantorExample,
     Conjugated,
-    DenseBlocks,
-    Identity,
-    OrdinalMap,
-    Square,
     SystemSpec,
-    Variant,
-    cantor_gaps,
-    dense_blocks,
     make_homeo,
+    predicted_label,
+    predicted_representatives,
 )
 
 
 def _fr(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-# model predictions
-
-
-def _rep_points(lam: Ordinal, lo: Fraction, hi: Fraction, cutoff: Fraction) -> set:
-    if lam == ZERO or hi - lo < cutoff:
-        return {lo}
-    if lam == ONE:
-        return {lo, hi}
-    kind, pred = classify(lam)
-    span = hi - lo
-    if kind == OrdinalKind.SUCCESSOR:
-        return _rep_points(pred, lo, lo + span / 2, cutoff) | {hi}
-    head, tail_exp = tail_split(lam)
-    pts = {lo, hi}
-    n = 0
-    while True:
-        b_lo = lo + span * Fraction(n, n + 1)
-        b_hi = lo + span * Fraction(n + 1, n + 2)
-        if b_hi - b_lo < cutoff:
-            break
-        beta = head if n == 0 else add(head, fundamental(omega_power(tail_exp), n))
-        pts |= _rep_points(beta, b_lo, b_hi, cutoff)
-        n += 1
-    return pts
-
-
-def predicted_representatives(spec: SystemSpec, cutoff: Fraction) -> Tuple[Fraction, ...]:
-    """Fixed points the component search should find, down to the cutoff."""
-    if isinstance(spec, Identity):
-        return (Fraction(0),)
-    if isinstance(spec, Square):
-        return (Fraction(0), Fraction(1))
-    if isinstance(spec, OrdinalMap):
-        return tuple(sorted(_rep_points(spec.index, Fraction(0), Fraction(1), cutoff)))
-    if isinstance(spec, CantorExample):
-        pts = {Fraction(0), Fraction(1)}
-        for a, b in cantor_gaps(spec.depth):
-            pts.add(a)
-            pts.add(b)
-        return tuple(sorted(pts))
-    if isinstance(spec, DenseBlocks):
-        return tuple(b.lo for b in dense_blocks(spec.variant, spec.depth))
-    if isinstance(spec, Conjugated):
-        inner = predicted_representatives(spec.inner, cutoff)
-        return tuple(sorted(spec.homeo.apply(x) for x in inner))
-    raise ValueError(f"no prediction for {type(spec).__name__}")
-
-
-_DENSE_LABELS = {
-    Variant.WITH_MAX: "[0,1]∩Q truncation",
-    Variant.NO_MAX: "[0,1)∩Q truncation",
-    Variant.OPEN_INTERVAL: "(0,1)∩Q truncation",
-}
-
-
-def predicted_label(spec: SystemSpec) -> str:
-    """Order-type label of the component poset under full refinement."""
-    if isinstance(spec, Identity):
-        return "1"
-    if isinstance(spec, Square):
-        return "2"
-    if isinstance(spec, OrdinalMap):
-        return format_ordinal(add(spec.index, ONE))
-    if isinstance(spec, CantorExample):
-        return f"gap-endpoint chain, depth {spec.depth} truncation"
-    if isinstance(spec, DenseBlocks):
-        return _DENSE_LABELS[spec.variant]
-    if isinstance(spec, Conjugated):
-        return predicted_label(spec.inner)
-    raise ValueError(f"no prediction for {type(spec).__name__}")
 
 
 # analysis driver
@@ -178,12 +91,11 @@ def _params_echo(p: SystemParams) -> Dict:
 @dataclass
 class RunArtifacts:
     report: Dict
-    specs: List[SystemSpec]
     graphs: List[ChainGraph]
     posets: List[ComponentPoset]
 
 
-def _components_section(graph: ChainGraph, poset: ComponentPoset) -> Dict:
+def _components_section(cond: Condensation, poset: ComponentPoset) -> Dict:
     out: Dict = {
         "count": len(poset),
         "representatives": [_fr(c.representative) for c in poset.components],
@@ -192,8 +104,8 @@ def _components_section(graph: ChainGraph, poset: ComponentPoset) -> Dict:
         "linear": is_linear(poset),
         "minimal": list(minimal_elements(poset)),
         "maximal": list(maximal_elements(poset)),
-        "recurrent_cell_count": len(recurrent_cells(graph)),
-        "all_cells_reach_recurrent": all(reaches_recurrent(graph)),
+        "recurrent_cell_count": len(recurrent_cells(cond)),
+        "all_cells_reach_recurrent": all(reaches_recurrent(cond)),
     }
     if out["linear"]:
         out["order"] = list(linear_order_type(poset))
@@ -218,7 +130,7 @@ def _conjugacy_level(
         _field_for(config.eps),
         config.mode,
     )
-    other_poset = chain_components(other_graph)
+    other_poset = chain_components(condense(other_graph))
     if isinstance(spec, Conjugated):
         base, twin = other_poset, poset
     else:
@@ -242,7 +154,6 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
     """Execute the configured tasks and assemble the report."""
     t0 = time.monotonic()
     checks: List[Dict] = []
-    specs: List[SystemSpec] = []
     graphs: List[ChainGraph] = []
     posets: List[ComponentPoset] = []
     levels: List[Dict] = []
@@ -252,8 +163,8 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         graph = build_chain_graph(
             spec, grid_for(spec, n), _field_for(config.eps), config.mode
         )
-        poset = chain_components(graph)
-        specs.append(spec)
+        cond = condense(graph)
+        poset = chain_components(cond)
         graphs.append(graph)
         posets.append(poset)
 
@@ -263,7 +174,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         depth = getattr(spec, "depth", None)
         if depth is not None:
             entry["depth"] = depth
-        entry["components"] = _components_section(graph, poset)
+        entry["components"] = _components_section(cond, poset)
         entry["predicted"] = {
             "label": predicted_label(spec),
             "representatives": [
@@ -273,7 +184,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         checks.append({"name": f"components@{n}", "passed": len(poset) >= 1})
 
         if "lyapunov" in config.tasks:
-            assignment = synthesize(graph)
+            assignment = synthesize(cond)
             certification = verify(assignment, graph, samples=config.samples)
             entry["lyapunov"] = {
                 "component_values": [_fr(v) for v in assignment.component_values],
@@ -311,8 +222,8 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
 
     trace = RefinementTrace(
         tuple(
-            TraceLevel(g.grid.n, getattr(s, "depth", None), g.eps, p)
-            for s, g, p in zip(specs, graphs, posets)
+            TraceLevel(g.grid.n, e.get("depth"), g.eps, p)
+            for e, g, p in zip(levels, graphs, posets)
         )
     )
 
@@ -356,7 +267,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
     report["checks"] = sorted(checks, key=lambda c: c["name"])
     if not seedless:
         report["timing"] = {"total_seconds": round(time.monotonic() - t0, 6)}
-    return RunArtifacts(report, specs, graphs, posets)
+    return RunArtifacts(report, graphs, posets)
 
 
 def run(config: AnalysisConfig, seedless: bool = False) -> Dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chaingraph import ChainGraph, Grid, condense
+from .chaingraph import ChainGraph, Condensation, Grid, condense
 from .systems import domain_of, evaluate
 
 
@@ -63,17 +63,13 @@ class LyapunovAssignment:
     component_values: Tuple[Fraction, ...]
     ranks: Tuple[int, ...]
 
-    def value_at_cell(self, i: int) -> Fraction:
-        return self.cell_values[i]
 
-
-def synthesize(graph: ChainGraph) -> LyapunovAssignment:
+def synthesize(cond: Condensation) -> LyapunovAssignment:
     """Rank condensation nodes sinks first and map ranks to values.
 
     Ties between ready nodes break toward the smaller leftmost cell, so
     the result is deterministic.
     """
-    cond = condense(graph)
     m = len(cond.members)
     reversed_succs: List[List[int]] = [[] for _ in range(m)]
     pending = [0] * m
@@ -94,12 +90,9 @@ def synthesize(graph: ChainGraph) -> LyapunovAssignment:
             if pending[u] == 0:
                 heapq.heappush(ready, (cond.members[u][0], u))
     component_values = tuple(cantor_value(r, m) for r in ranks)
-    cell_values = [Fraction(0)] * graph.n
-    for c, members in enumerate(cond.members):
-        for i in members:
-            cell_values[i] = component_values[c]
+    cell_values = [component_values[c] for c in cond.comp_of]
     return LyapunovAssignment(
-        graph.grid, tuple(cell_values), component_values, tuple(ranks)
+        cond.grid, tuple(cell_values), component_values, tuple(ranks)
     )
 
 
@@ -131,7 +124,13 @@ def verify(
     graph: ChainGraph,
     samples: int = 10,
 ) -> CertificationReport:
-    """Re-check the Lyapunov properties against the graph and dynamics."""
+    """Re-check the Lyapunov properties against the graph and dynamics.
+
+    The condensation is recomputed here from the graph on purpose: the
+    certificate is then checked against structure that was not handed in
+    alongside it, so a wrong condensation given to `synthesize` cannot
+    certify itself.
+    """
     if assignment.grid != graph.grid:
         raise ValueError("assignment and graph use different grids")
     if samples < 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class OrdinalKind(Enum):
@@ -302,7 +302,3 @@ def format_ordinal(a: Ordinal) -> str:
     if a.is_zero():
         return "0"
     return "+".join(_format_term(exp, coef) for exp, coef in a.terms)
-
-
-def iter_terms(a: Ordinal) -> Iterator[Tuple[Ordinal, int]]:
-    return iter(a.terms)

@@ -19,6 +19,7 @@ from .chaingraph import (
     Mode,
     build_chain_graph,
     chain_components,
+    condense,
     grid_for,
 )
 from .systems import SystemSpec
@@ -188,7 +189,7 @@ def trace_level(
 ) -> TraceLevel:
     graph = build_chain_graph(spec, grid_for(spec, n), eps, mode)
     depth = getattr(spec, "depth", None)
-    return TraceLevel(n, depth, graph.eps, chain_components(graph))
+    return TraceLevel(n, depth, graph.eps, chain_components(condense(graph)))
 
 
 def match_components(

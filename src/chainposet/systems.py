@@ -12,6 +12,8 @@ bundled families are:
 - DenseBlocks: piecewise-constant maps whose plateau blocks sit at the
   blocks of an iterated middle-half insertion family,
 - Conjugated: h . f . h^-1 for a piecewise-linear homeomorphism h.
+
+The model's predicted fixed points and order labels follow the evaluator.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .ordinal import (
     add,
     classify,
     compare,
+    format_ordinal,
     fundamental,
     omega_power,
     tail_split,
@@ -238,7 +241,85 @@ def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
         shift += scale * a_n
         scale /= block
         x = (x - a_n) * block
-        index = head if n == 0 else add(head, fundamental(omega_power(tail_exp), n))
+        index = _block_index(head, tail_exp, n)
+
+
+def _block_index(head: Ordinal, tail_exp: Ordinal, n: int) -> Ordinal:
+    """Index of the map on the n-th shrinking block of a limit step."""
+    return head if n == 0 else add(head, fundamental(omega_power(tail_exp), n))
+
+
+def _rep_points(lam: Ordinal, lo: Fraction, hi: Fraction, cutoff: Fraction) -> set:
+    # fixed points of the index-lam map rescaled to [lo, hi], following the
+    # same successor halving and limit blocks as _eval_index
+    if lam == ZERO or hi - lo < cutoff:
+        return {lo}
+    if lam == ONE:
+        return {lo, hi}
+    kind, pred = classify(lam)
+    span = hi - lo
+    if kind == OrdinalKind.SUCCESSOR:
+        return _rep_points(pred, lo, lo + span / 2, cutoff) | {hi}
+    head, tail_exp = tail_split(lam)
+    pts = {lo, hi}
+    n = 0
+    while True:
+        b_lo = lo + span * Fraction(n, n + 1)
+        b_hi = lo + span * Fraction(n + 1, n + 2)
+        if b_hi - b_lo < cutoff:
+            break
+        pts |= _rep_points(_block_index(head, tail_exp, n), b_lo, b_hi, cutoff)
+        n += 1
+    return pts
+
+
+# model predictions
+
+
+def predicted_representatives(spec: SystemSpec, cutoff: Fraction) -> Tuple[Fraction, ...]:
+    """Fixed points the component search should find, down to the cutoff."""
+    if isinstance(spec, Identity):
+        return (Fraction(0),)
+    if isinstance(spec, Square):
+        return (Fraction(0), Fraction(1))
+    if isinstance(spec, OrdinalMap):
+        return tuple(sorted(_rep_points(spec.index, Fraction(0), Fraction(1), cutoff)))
+    if isinstance(spec, CantorExample):
+        pts = {Fraction(0), Fraction(1)}
+        for a, b in cantor_gaps(spec.depth):
+            pts.add(a)
+            pts.add(b)
+        return tuple(sorted(pts))
+    if isinstance(spec, DenseBlocks):
+        return tuple(b.lo for b in dense_blocks(spec.variant, spec.depth))
+    if isinstance(spec, Conjugated):
+        inner = predicted_representatives(spec.inner, cutoff)
+        return tuple(sorted(spec.homeo.apply(x) for x in inner))
+    raise ValueError(f"no prediction for {type(spec).__name__}")
+
+
+_DENSE_LABELS = {
+    Variant.WITH_MAX: "[0,1]∩Q truncation",
+    Variant.NO_MAX: "[0,1)∩Q truncation",
+    Variant.OPEN_INTERVAL: "(0,1)∩Q truncation",
+}
+
+
+def predicted_label(spec: SystemSpec) -> str:
+    """Order-type label of the component poset under full refinement."""
+    if isinstance(spec, Identity):
+        return "1"
+    if isinstance(spec, Square):
+        return "2"
+    if isinstance(spec, OrdinalMap):
+        return format_ordinal(add(spec.index, ONE))
+    if isinstance(spec, CantorExample):
+        return f"gap-endpoint chain, depth {spec.depth} truncation"
+    if isinstance(spec, DenseBlocks):
+        return _DENSE_LABELS[spec.variant]
+    if isinstance(spec, Conjugated):
+        return predicted_label(spec.inner)
+    raise ValueError(f"no prediction for {type(spec).__name__}")
 
 
 # middle-half insertion families
@@ -424,3 +505,4 @@ def image_intervals(
         inner = image_intervals(spec.inner, h.invert(lo), h.invert(hi))
         return tuple((h.apply(a), h.apply(b)) for a, b in inner)
     raise TypeError(f"unknown system spec {spec!r}")
+

@@ -21,7 +21,6 @@ from chainposet.chaingraph import (
     reaches_recurrent,
     recurrent_cells,
 )
-from chainposet.cli import predicted_representatives
 from chainposet.lyapunov import synthesize, verify
 from chainposet.ordinal import parse_ordinal
 from chainposet.poset import (
@@ -44,6 +43,7 @@ from chainposet.systems import (
     dense_blocks,
     make_homeo,
     make_ordinal_map,
+    predicted_representatives,
 )
 
 SAMPLE_HOMEO = ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1), F(1)))
@@ -98,7 +98,7 @@ def test_01_square_two_component_chain():
     t0 = time.monotonic()
     spec = Square()
     graph = build_chain_graph(spec, grid_for(spec, 1024), constant_field(F(2, 1024)))
-    poset = chain_components(graph)
+    poset = chain_components(condense(graph))
     elapsed = time.monotonic() - t0
     assert len(poset) == 2
     low, high = poset.components
@@ -118,7 +118,7 @@ def test_02_finite_ordinal_order_types():
         t0 = time.monotonic()
         spec = make_ordinal_map(parse_ordinal(str(lam)))
         graph = build_chain_graph(spec, grid_for(spec, 2048))
-        poset = chain_components(graph)
+        poset = chain_components(condense(graph))
         elapsed = time.monotonic() - t0
         predicted = predicted_representatives(spec, graph.grid.width)
         assert len(predicted) == lam + 1
@@ -138,7 +138,7 @@ def test_03_limit_ordinal_growth():
     counts = []
     for n in (256, 1024, 4096):
         graph = build_chain_graph(spec, grid_for(spec, n))
-        poset = chain_components(graph)
+        poset = chain_components(condense(graph))
         counts.append(len(poset))
         predicted = predicted_representatives(spec, graph.grid.width)
         tol = 8 * _max_eps(graph)
@@ -155,7 +155,7 @@ def test_04_dense_blocks_exactness():
     t0 = time.monotonic()
     spec = DenseBlocks(3, Variant.WITH_MAX)
     graph = build_chain_graph(spec, grid_for(spec, 4096), constant_field(F(1, 2048)))
-    poset = chain_components(graph)
+    poset = chain_components(condense(graph))
     elapsed = time.monotonic() - t0
     lefts = [block.lo for block in dense_blocks(Variant.WITH_MAX, 3)]
     assert len(poset) == 9 and len(lefts) == 9
@@ -214,9 +214,9 @@ def test_06_recurrence_and_minimal_elements():
             grid = grid_for(spec, n)
             for field in (None, constant_field(3 * grid.width)):
                 graph = build_chain_graph(spec, grid, field)
-                assert recurrent_cells(graph), name
-                assert all(reaches_recurrent(graph)), name
-                assert minimal_elements(chain_components(graph)), name
+                assert recurrent_cells(condense(graph)), name
+                assert all(reaches_recurrent(condense(graph))), name
+                assert minimal_elements(chain_components(condense(graph))), name
 
 
 @criterion(7)
@@ -226,7 +226,7 @@ def test_07_lyapunov_contract():
     # order, and middle-thirds value membership
     for name, spec in bundled_systems():
         graph = build_chain_graph(spec, grid_for(spec, 1024))
-        report = verify(synthesize(graph), graph, samples=10)
+        report = verify(synthesize(condense(graph)), graph, samples=10)
         failed = [c.name for c in report.checks if not c.passed]
         assert report.all_passed, (name, failed)
 
@@ -240,8 +240,8 @@ def test_08_conjugacy_invariance():
     twin = conjugate(base, h)
     graph_f = build_chain_graph(base, grid_for(base, 1024))
     graph_g = build_chain_graph(twin, grid_for(twin, 1024))
-    poset_f = chain_components(graph_f)
-    poset_g = chain_components(graph_g)
+    poset_f = chain_components(condense(graph_f))
+    poset_g = chain_components(condense(graph_g))
     assert order_isomorphic(poset_f, poset_g).isomorphic
     tol = 8 * _max_eps(graph_f)
     assert len(poset_f) == len(poset_g) == 3
@@ -278,7 +278,7 @@ def test_10_dual_order():
     # dual twice returns every computed poset unchanged
     spec = make_ordinal_map(parse_ordinal("3"))
     graph = build_chain_graph(spec, grid_for(spec, 1024))
-    poset = chain_components(graph)
+    poset = chain_components(condense(graph))
     assert len(poset) == 4 and is_linear(poset)
     rev = dual(poset)
     assert is_linear(rev)
@@ -287,6 +287,6 @@ def test_10_dual_order():
     assert dual(rev) == poset
     for other_spec in (Square(), DenseBlocks(1, Variant.WITH_MAX)):
         other = chain_components(
-            build_chain_graph(other_spec, grid_for(other_spec, 256))
+            condense(build_chain_graph(other_spec, grid_for(other_spec, 256)))
         )
         assert dual(dual(other)) == other

@@ -1,18 +1,22 @@
 """Config parsing, model predictions, and the batch driver."""
 
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from chainposet import chaingraph
 from chainposet.chaingraph import ChainGraphError
 from chainposet.cli import (
     exit_status,
     main,
     predict_report,
-    predicted_label,
-    predicted_representatives,
     render_json,
     run,
+    run_full,
 )
 from chainposet.config import (
     AnalysisConfig,
@@ -30,7 +34,12 @@ from chainposet.systems import (
     evaluate,
     make_homeo,
     make_ordinal_map,
+    predicted_label,
+    predicted_representatives,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
 
 SAMPLE_HOMEO = ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1), F(1)))
 
@@ -288,6 +297,39 @@ class TestRun:
         assert "timing" in run(cfg)
         assert "timing" not in run(cfg, seedless=True)
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cantor_trace.cfg", "00bc6d7ac53a56bfd9cec4e6b105be2c2e2d4deb42dbea2133fc22a49e45d6a3"),
+            ("conjugacy.cfg", "8de3461d4c6974a0209c0d558452ffa215010d8fd71cccc07056937231e0b3da"),
+            ("dense_blocks_trace.cfg", "20ac1977074231999d3717e98fff1f859fff800430584643772c553561c2ef6c"),
+            ("ordinal_omega.cfg", "0d1c09fd51e2fbb52849ae4bb439adae59a0571f84c648f67c55f68ea68376e9"),
+        ],
+    )
+    def test_bundled_reports_frozen(self, name, digest):
+        text = render_json(run(load_config(CONFIGS / name), seedless=True))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "tasks, passes",
+        [("[components, lyapunov]", 4), ("[components]", 2)],
+    )
+    def test_one_condensation_per_level(self, monkeypatch, tasks, passes):
+        # run_full condenses each level once; verify adds its own cross-check
+        calls = []
+        tarjan = chaingraph.strongly_connected_components
+
+        def counted(adjacency):
+            calls.append(len(adjacency))
+            return tarjan(adjacency)
+
+        monkeypatch.setattr(chaingraph, "strongly_connected_components", counted)
+        cfg = parse_config(
+            f"system = ordinal\nlambda = w\nresolutions = [64, 128]\ntasks = {tasks}\n"
+        )
+        run_full(cfg, seedless=True)
+        assert len(calls) == passes
+
     def test_exit_status(self):
         assert exit_status({"checks": [{"name": "a", "passed": True}]}) == 0
         assert exit_status({"checks": [{"name": "a", "passed": False}]}) == 1
@@ -367,3 +409,14 @@ class TestMain:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_python_dash_m(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainposet", "predict", "scripts/configs/ordinal_omega.cfg"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "label=w+1" in proc.stdout

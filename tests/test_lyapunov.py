@@ -85,8 +85,8 @@ class TestMembership:
 class TestSynthesize:
     def test_values_follow_the_flow_for_square(self):
         g = build_chain_graph(Square(), Grid(F(0), F(1), 64), constant_field(F(1, 32)))
-        assignment = synthesize(g)
-        poset = chain_components(g)
+        assignment = synthesize(condense(g))
+        poset = chain_components(condense(g))
         bottom = poset.components[0].cells[0]
         top = poset.components[-1].cells[0]
         assert assignment.cell_values[bottom] < assignment.cell_values[top]
@@ -97,19 +97,19 @@ class TestSynthesize:
 
     def test_ranks_are_a_permutation(self):
         g = build_chain_graph(Square(), Grid(F(0), F(1), 32), constant_field(F(1, 16)))
-        assignment = synthesize(g)
+        assignment = synthesize(condense(g))
         assert sorted(assignment.ranks) == list(range(len(assignment.ranks)))
 
     def test_constant_on_components(self):
         g = build_chain_graph(Identity(), Grid(F(0), F(1), 16), constant_field(F(1, 16)))
-        assignment = synthesize(g)
+        assignment = synthesize(condense(g))
         assert len(set(assignment.cell_values)) == 1
 
     @given(st.sampled_from(CLOSED_SPECS), st.integers(8, 48), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
     def test_certification_passes(self, spec, n, a):
         g = build_chain_graph(spec, grid_for(spec, n), constant_field(F(a, 32)))
-        report = verify(synthesize(g), g, samples=4)
+        report = verify(synthesize(condense(g)), g, samples=4)
         assert report.all_passed, [c for c in report.checks if not c.passed]
 
 
@@ -121,7 +121,7 @@ class TestVerifyCatchesViolations:
 
     def test_broken_constancy(self):
         g = self.graph()
-        good = synthesize(g)
+        good = synthesize(condense(g))
         values = list(good.cell_values)
         values[1] = F(2, 9) if values[1] != F(2, 9) else F(2, 27)
         bad = LyapunovAssignment(
@@ -133,7 +133,7 @@ class TestVerifyCatchesViolations:
 
     def test_reversed_order_fails_descent_and_edges(self):
         g = self.graph()
-        good = synthesize(g)
+        good = synthesize(condense(g))
         top = max(good.cell_values)
         values = tuple(top - v for v in good.cell_values)
         bad = LyapunovAssignment(good.grid, values, good.component_values, good.ranks)
@@ -144,7 +144,7 @@ class TestVerifyCatchesViolations:
 
     def test_value_outside_the_set(self):
         g = self.graph()
-        good = synthesize(g)
+        good = synthesize(condense(g))
         values = tuple(F(1, 2) if v == max(good.cell_values) else v
                        for v in good.cell_values)
         bad = LyapunovAssignment(good.grid, values, good.component_values, good.ranks)
@@ -153,7 +153,7 @@ class TestVerifyCatchesViolations:
 
     def test_duplicate_recurrent_values(self):
         g = self.graph()
-        good = synthesize(g)
+        good = synthesize(condense(g))
         cond = condense(g)
         rec = [c for c, flag in enumerate(cond.recurrent) if flag]
         assert len(rec) >= 2
@@ -173,7 +173,7 @@ class TestVerifyCatchesViolations:
             Square(), Grid(F(0), F(1), 8), constant_field(F(1, 8))
         )
         with pytest.raises(ValueError):
-            verify(synthesize(other), g)
+            verify(synthesize(condense(other)), g)
 
 
 class TestOpenDomainNotes:
@@ -181,6 +181,6 @@ class TestOpenDomainNotes:
         # the 3/32 plateau sits below the inset core [1/10, 9/10]
         spec = DenseBlocks(1, Variant.OPEN_INTERVAL)
         g = build_chain_graph(spec, grid_for(spec, 8))
-        report = verify(synthesize(g), g)
+        report = verify(synthesize(condense(g)), g)
         assert report.all_passed
         assert any("skipped" in note for note in report.notes)
