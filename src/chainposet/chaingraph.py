@@ -25,6 +25,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .systems import (
@@ -55,7 +56,7 @@ class Grid:
         if not 1 <= self.n <= MAX_CELLS:
             raise ChainGraphError(f"cell count must be in 1..{MAX_CELLS}")
 
-    @property
+    @cached_property
     def width(self) -> Fraction:
         return (self.hi - self.lo) / self.n
 
@@ -387,9 +388,6 @@ class ComponentPoset:
 
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
-
-    def comparable(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.pairs or (b, a) in self.pairs
 
 
 def chain_components(cond: Condensation) -> ComponentPoset:

@@ -114,9 +114,14 @@ class CertificationReport:
 
 
 def _sample_points(grid: Grid, i: int, samples: int) -> List[Fraction]:
-    a, _ = grid.cell(i)
-    w = grid.width
-    return [a + w * Fraction(k + 1, samples + 1) for k in range(samples)]
+    # sample k of cell i is lo + w*(i + (k+1)/(samples+1)), built on the
+    # integer parts of lo and w
+    lo, w = grid.lo, grid.width
+    m = samples + 1
+    den = lo.denominator * w.denominator * m
+    step = w.numerator * lo.denominator
+    base = lo.numerator * w.denominator * m + step * i * m
+    return [Fraction(base + step * k, den) for k in range(1, m)]
 
 
 def verify(
@@ -206,10 +211,13 @@ def verify(
         notes.append(f"descent: skipped {skipped} samples outside the grid")
 
     value_set = CheckResult("value_set", True)
-    for i, v in enumerate(values):
+    # distinct values in order of first use, so the witness is the first
+    # offending cell
+    for v in dict.fromkeys(values):
         if not in_middle_third_set(v):
             value_set = CheckResult(
-                "value_set", False, f"cell {i} carries {v}, outside the value set"
+                "value_set", False,
+                f"cell {values.index(v)} carries {v}, outside the value set",
             )
             break
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Tuple, Union
 
 from .ordinal import (
@@ -39,8 +39,6 @@ from .ordinal import (
     omega_power,
     tail_split,
 )
-
-HALF = Fraction(1, 2)
 
 MAX_FAMILY_DEPTH = 20
 
@@ -138,25 +136,50 @@ class PLHomeo:
             if not (x1 < x2 and y1 < y2):
                 raise ValueError("breakpoints must strictly increase")
 
+    @cached_property
+    def _forward(self) -> "_PLTable":
+        return _pl_table(self.points)
+
+    @cached_property
+    def _backward(self) -> "_PLTable":
+        return _pl_table(tuple((b, a) for a, b in self.points))
+
     def apply(self, x: Fraction) -> Fraction:
-        return _pl_apply(self.points, x)
+        return _pl_apply(self._forward, x)
 
     def invert(self, y: Fraction) -> Fraction:
-        return _pl_apply(tuple((b, a) for a, b in self.points), y)
+        return _pl_apply(self._backward, y)
 
     def inverse(self) -> "PLHomeo":
         return PLHomeo(tuple((b, a) for a, b in self.points))
 
 
-def _pl_apply(points: Tuple[Tuple[Fraction, Fraction], ...], x: Fraction) -> Fraction:
-    if not points[0][0] <= x <= points[-1][0]:
+# interior breakpoint abscissae, and for each piece integers (a, b, d) with
+# value (a*x + b)/d on it, so that at x = p/q the value is (a*p + b*q)/(d*q)
+_PLTable = Tuple[Tuple[Fraction, ...], Tuple[Tuple[int, int, int], ...]]
+
+
+def _pl_table(points: Tuple[Tuple[Fraction, Fraction], ...]) -> _PLTable:
+    pieces = []
+    for (x1, y1), (x2, y2) in zip(points, points[1:]):
+        slope = (y2 - y1) / (x2 - x1)
+        offset = y1 - slope * x1
+        d = math.lcm(slope.denominator, offset.denominator)
+        pieces.append((
+            slope.numerator * (d // slope.denominator),
+            offset.numerator * (d // offset.denominator),
+            d,
+        ))
+    return tuple(x for x, _ in points[1:-1]), tuple(pieces)
+
+
+def _pl_apply(table: _PLTable, x: Fraction) -> Fraction:
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise ValueError("argument outside [0, 1]")
-    xs = [p[0] for p in points]
-    k = bisect.bisect_right(xs, x) - 1
-    if k == len(points) - 1:
-        return points[-1][1]
-    (x1, y1), (x2, y2) = points[k], points[k + 1]
-    return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
+    cuts, pieces = table
+    a, b, d = pieces[bisect.bisect_right(cuts, x)]
+    return Fraction(a * p + b * q, d * q)
 
 
 def make_homeo(points) -> PLHomeo:
@@ -214,33 +237,37 @@ def is_increasing(spec: SystemSpec) -> bool:
 
 @lru_cache(maxsize=1 << 17)
 def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
-    # iterative descent; each step rewrites the value as shift + scale*inner,
-    # so the block index (unbounded near 1) never turns into stack depth
-    shift, scale = Fraction(0), Fraction(1)
+    # iterative descent on integers: x = p/q over a fixed q, and the value so
+    # far is (s + inner)/c, where inner is the current index's map at x; the
+    # block index (unbounded near 1) never turns into stack depth, and only
+    # the returned value is normalised
+    p, q = x.numerator, x.denominator
+    s, c = 0, 1
     while True:
-        if x == 0:
-            return shift
-        if x == 1:
-            return shift + scale
+        if p == 0:
+            return Fraction(s, c)
+        if p == q:
+            return Fraction(s + 1, c)
         if index == ZERO:
-            return shift + scale * x
+            return Fraction(s * q + p, c * q)
         if index == ONE:
-            return shift + scale * x * x
+            return Fraction(s * q * q + p * p, c * q * q)
         kind, pred = classify(index)
         if kind == OrdinalKind.SUCCESSOR:
-            if x > HALF:
-                return shift + scale * (x * x - x / 2 + HALF)
-            scale /= 2
-            x = 2 * x
+            if 2 * p > q:
+                # inner = x^2 - x/2 + 1/2
+                qq = q * q
+                return Fraction(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
+            p, s, c = 2 * p, 2 * s, 2 * c
             index = pred
             continue
+        # block n is [n/(n+1), (n+1)/(n+2)], rescaled onto [0, 1]
         head, tail_exp = tail_split(index)
-        n = int(x / (1 - x))
-        a_n = Fraction(n, n + 1)
+        n = p // (q - p)
         block = (n + 1) * (n + 2)
-        shift += scale * a_n
-        scale /= block
-        x = (x - a_n) * block
+        s = s * block + n * (n + 2)
+        c *= block
+        p = ((n + 1) * p - n * q) * (n + 2)
         index = _block_index(head, tail_exp, n)
 
 
@@ -249,26 +276,28 @@ def _block_index(head: Ordinal, tail_exp: Ordinal, n: int) -> Ordinal:
     return head if n == 0 else add(head, fundamental(omega_power(tail_exp), n))
 
 
-def _rep_points(lam: Ordinal, lo: Fraction, hi: Fraction, cutoff: Fraction) -> set:
-    # fixed points of the index-lam map rescaled to [lo, hi], following the
-    # same successor halving and limit blocks as _eval_index
-    if lam == ZERO or hi - lo < cutoff:
-        return {lo}
+def _rep_points(lam: Ordinal, s: int, c: int, cutoff: Fraction) -> set:
+    # fixed points of the index-lam map rescaled to [s/c, (s+1)/c], following
+    # the same successor halving and limit blocks (s, c) as _eval_index; a
+    # span 1/c is below the cutoff a/b when a*c > b
+    a, b = cutoff.numerator, cutoff.denominator
+    if lam == ZERO or a * c > b:
+        return {Fraction(s, c)}
     if lam == ONE:
-        return {lo, hi}
+        return {Fraction(s, c), Fraction(s + 1, c)}
     kind, pred = classify(lam)
-    span = hi - lo
     if kind == OrdinalKind.SUCCESSOR:
-        return _rep_points(pred, lo, lo + span / 2, cutoff) | {hi}
+        return _rep_points(pred, 2 * s, 2 * c, cutoff) | {Fraction(s + 1, c)}
     head, tail_exp = tail_split(lam)
-    pts = {lo, hi}
+    pts = {Fraction(s, c), Fraction(s + 1, c)}
     n = 0
     while True:
-        b_lo = lo + span * Fraction(n, n + 1)
-        b_hi = lo + span * Fraction(n + 1, n + 2)
-        if b_hi - b_lo < cutoff:
+        block = (n + 1) * (n + 2)
+        if a * c * block > b:
             break
-        pts |= _rep_points(_block_index(head, tail_exp, n), b_lo, b_hi, cutoff)
+        pts |= _rep_points(
+            _block_index(head, tail_exp, n), s * block + n * (n + 2), c * block, cutoff
+        )
         n += 1
     return pts
 
@@ -283,7 +312,7 @@ def predicted_representatives(spec: SystemSpec, cutoff: Fraction) -> Tuple[Fract
     if isinstance(spec, Square):
         return (Fraction(0), Fraction(1))
     if isinstance(spec, OrdinalMap):
-        return tuple(sorted(_rep_points(spec.index, Fraction(0), Fraction(1), cutoff)))
+        return tuple(sorted(_rep_points(spec.index, 0, 1, cutoff)))
     if isinstance(spec, CantorExample):
         pts = {Fraction(0), Fraction(1)}
         for a, b in cantor_gaps(spec.depth):

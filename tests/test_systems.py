@@ -5,12 +5,24 @@ Frozen values below were derived by hand from the construction rules
 insertions, middle-third dips) and pin the implementation down exactly.
 """
 
+import bisect
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from chainposet.ordinal import OMEGA, ONE, ZERO, Ordinal, add, omega_power, parse_ordinal
+from chainposet.ordinal import (
+    OMEGA,
+    ONE,
+    ZERO,
+    Ordinal,
+    OrdinalKind,
+    add,
+    classify,
+    omega_power,
+    parse_ordinal,
+    tail_split,
+)
 from chainposet.systems import (
     CantorExample,
     Conjugated,
@@ -19,6 +31,8 @@ from chainposet.systems import (
     OrdinalMap,
     Square,
     Variant,
+    _block_index,
+    _eval_index,
     cantor_gaps,
     conjugate,
     dense_blocks,
@@ -29,6 +43,7 @@ from chainposet.systems import (
     make_dense_blocks,
     make_homeo,
     make_ordinal_map,
+    predicted_representatives,
 )
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -248,6 +263,13 @@ class TestHomeo:
         with pytest.raises(ValueError):
             make_homeo([(0, 0), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), (1, 1)])
 
+    def test_rejects_outside_unit(self):
+        for x in (F(-1, 3), F(4, 3)):
+            with pytest.raises(ValueError):
+                SAMPLE_HOMEO.apply(x)
+            with pytest.raises(ValueError):
+                SAMPLE_HOMEO.invert(x)
+
     @given(unit_fractions)
     def test_inverse_round_trip(self, x):
         assert SAMPLE_HOMEO.invert(SAMPLE_HOMEO.apply(x)) == x
@@ -322,3 +344,139 @@ class TestImageIntervals:
         parts = image_intervals(spec, lo, hi)
         assert any(p <= y <= q for p, q in parts)
         assert list(parts) == sorted(parts)
+
+
+# Reference evaluators: the Fraction arithmetic that the integer evaluators
+# replaced, kept verbatim so the properties below pin the new code to it.
+# The one change: the descent stops after DESCENT_STEPS steps and returns
+# None.  Above w^w a few percent of rationals descend for a long time
+# (w^(w^2) at 998413/1000003 runs over 20 s), and the integer evaluator
+# takes the same steps.
+
+HALF = F(1, 2)
+DESCENT_STEPS = 400
+
+
+def reference_eval_index(index: Ordinal, x: F):
+    shift, scale = F(0), F(1)
+    for _ in range(DESCENT_STEPS):
+        if x == 0:
+            return shift
+        if x == 1:
+            return shift + scale
+        if index == ZERO:
+            return shift + scale * x
+        if index == ONE:
+            return shift + scale * x * x
+        kind, pred = classify(index)
+        if kind == OrdinalKind.SUCCESSOR:
+            if x > HALF:
+                return shift + scale * (x * x - x / 2 + HALF)
+            scale /= 2
+            x = 2 * x
+            index = pred
+            continue
+        head, tail_exp = tail_split(index)
+        n = int(x / (1 - x))
+        a_n = F(n, n + 1)
+        block = (n + 1) * (n + 2)
+        shift += scale * a_n
+        scale /= block
+        x = (x - a_n) * block
+        index = _block_index(head, tail_exp, n)
+    return None
+
+
+def reference_pl_apply(points, x: F) -> F:
+    if not points[0][0] <= x <= points[-1][0]:
+        raise ValueError("argument outside [0, 1]")
+    xs = [p[0] for p in points]
+    k = bisect.bisect_right(xs, x) - 1
+    if k == len(points) - 1:
+        return points[-1][1]
+    (x1, y1), (x2, y2) = points[k], points[k + 1]
+    return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
+
+
+def reference_rep_points(lam: Ordinal, lo: F, hi: F, cutoff: F) -> set:
+    if lam == ZERO or hi - lo < cutoff:
+        return {lo}
+    if lam == ONE:
+        return {lo, hi}
+    kind, pred = classify(lam)
+    span = hi - lo
+    if kind == OrdinalKind.SUCCESSOR:
+        return reference_rep_points(pred, lo, lo + span / 2, cutoff) | {hi}
+    head, tail_exp = tail_split(lam)
+    pts = {lo, hi}
+    n = 0
+    while True:
+        b_lo = lo + span * F(n, n + 1)
+        b_hi = lo + span * F(n + 1, n + 2)
+        if b_hi - b_lo < cutoff:
+            break
+        pts |= reference_rep_points(_block_index(head, tail_exp, n), b_lo, b_hi, cutoff)
+        n += 1
+    return pts
+
+
+W_W2 = parse_ordinal("w^(w^2)")
+
+
+@st.composite
+def indices_up_to_w_w2(draw) -> Ordinal:
+    """Normal forms from 2 up to w^(w^2): sums of w^(w*a+b)*c, plus w^(w^2)."""
+    if draw(st.integers(0, 9)) == 0:
+        return W_W2
+    exps = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3,
+                 unique=True)
+    )
+    out = ZERO
+    for a, b in sorted(exps, reverse=True):
+        exp = add(omega_power(ONE, a), Ordinal.from_int(b))
+        out = add(out, omega_power(exp, draw(st.integers(1, 3))))
+    return out if out >= Ordinal.from_int(2) else Ordinal.from_int(2)
+
+
+unit_rationals = st.one_of(
+    st.fractions(min_value=0, max_value=1),
+    st.integers(0, 300).map(lambda n: F(n, n + 1)),
+    st.sampled_from([F(0), F(1, 2), F(1)]),
+)
+
+
+@st.composite
+def pl_homeos(draw):
+    inner = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
+        lambda t: 0 < t < 1
+    )
+    k = draw(st.integers(0, 5))
+    xs = sorted(draw(st.lists(inner, min_size=k, max_size=k, unique=True)))
+    ys = sorted(draw(st.lists(inner, min_size=k, max_size=k, unique=True)))
+    return make_homeo([(0, 0), *zip(xs, ys), (1, 1)])
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(indices_up_to_w_w2(), unit_rationals)
+    def test_eval_index_matches(self, index, x):
+        want = reference_eval_index(index, x)
+        assume(want is not None)
+        assert _eval_index.__wrapped__(index, x) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(pl_homeos(), unit_rationals)
+    def test_homeo_matches(self, h, x):
+        y = h.apply(x)
+        assert y == reference_pl_apply(h.points, x)
+        back = tuple((b, a) for a, b in h.points)
+        assert h.invert(x) == reference_pl_apply(back, x)
+        assert h.invert(y) == x
+
+    @settings(max_examples=100, deadline=None)
+    @given(indices_up_to_w_w2(), st.integers(1, 256))
+    def test_representatives_match(self, index, m):
+        cutoff = F(1, m)
+        want = tuple(sorted(reference_rep_points(index, F(0), F(1), cutoff)))
+        assert predicted_representatives(OrdinalMap(index), cutoff) == want
