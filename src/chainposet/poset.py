@@ -2,9 +2,9 @@
 
 A ComponentPoset lists recurrent components left to right with (a, b)
 pairs meaning a sits strictly below b.  This module adds the usual poset
-queries, duality, order isomorphism and, across a trace of increasingly
-fine analyses, a density signature that tells gaps that keep subdividing
-apart from gaps that persist.
+queries, duality, a positional order-isomorphism check and, across a
+trace of increasingly fine analyses, a density signature that tells gaps
+that keep subdividing apart from gaps that persist.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .chaingraph import (
     grid_for,
 )
 from .systems import SystemSpec
-
-BACKTRACK_BUDGET = 1_000_000
 
 
 class PosetError(ValueError):
@@ -78,80 +76,14 @@ def linear_order_type(poset: ComponentPoset) -> Tuple[int, ...]:
     return tuple(sorted(range(m), key=lambda k: below[k]))
 
 
-@dataclass(frozen=True)
-class IsoResult:
-    isomorphic: bool
-    exact: bool
+def order_isomorphic(p: ComponentPoset, q: ComponentPoset) -> bool:
+    """Whether component k of p to component k of q is an order isomorphism.
 
-
-def _profiles(poset: ComponentPoset) -> List[Tuple[int, int]]:
-    m = len(poset.components)
-    down = [0] * m
-    up = [0] * m
-    for a, b in poset.pairs:
-        up[a] += 1
-        down[b] += 1
-    return [(down[k], up[k]) for k in range(m)]
-
-
-def order_isomorphic(p: ComponentPoset, q: ComponentPoset) -> IsoResult:
-    """Search for a bijection preserving the order both ways.
-
-    Falls back to invariant comparison (exact=False) when the search
-    space is too large to finish.
+    Both posets list components left to right, and an increasing change of
+    coordinates keeps that order, so k -> k is the only candidate map and
+    the verdict is exact.
     """
-    m = len(p.components)
-    if m != len(q.components) or len(p.pairs) != len(q.pairs):
-        return IsoResult(False, True)
-    prof_p, prof_q = _profiles(p), _profiles(q)
-    if sorted(prof_p) != sorted(prof_q):
-        return IsoResult(False, True)
-    if m == 0:
-        return IsoResult(True, True)
-    if m > 64:
-        return IsoResult(True, False)
-
-    budget = BACKTRACK_BUDGET
-    assigned: List[Optional[int]] = [None] * m
-    used = [False] * m
-
-    def consistent(a: int, b: int) -> bool:
-        for a2, b2 in enumerate(assigned):
-            if b2 is None or a2 == a:
-                continue
-            if ((a2, a) in p.pairs) != ((b2, b) in q.pairs):
-                return False
-            if ((a, a2) in p.pairs) != ((b, b2) in q.pairs):
-                return False
-        return True
-
-    def search(k: int) -> Optional[bool]:
-        nonlocal budget
-        if k == m:
-            return True
-        for b in range(m):
-            budget -= 1
-            if budget <= 0:
-                return None
-            if used[b] or prof_q[b] != prof_p[k]:
-                continue
-            if not consistent(k, b):
-                continue
-            assigned[k] = b
-            used[b] = True
-            found = search(k + 1)
-            if found:
-                return found
-            assigned[k] = None
-            used[b] = False
-            if found is None:
-                return None
-        return False
-
-    out = search(0)
-    if out is None:
-        return IsoResult(True, False)
-    return IsoResult(out, True)
+    return len(p) == len(q) and p.pairs == q.pairs
 
 
 def to_dot(poset: ComponentPoset, name: str = "chain_components") -> str:

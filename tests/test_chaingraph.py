@@ -30,14 +30,18 @@ from chainposet.chaingraph import (
     recurrent_cells,
     strongly_connected_components,
 )
-from chainposet.ordinal import OMEGA, Ordinal
+from chainposet.ordinal import OMEGA, Ordinal, parse_ordinal
 from chainposet.systems import (
     CantorExample,
+    Conjugated,
     DenseBlocks,
     Identity,
     OrdinalMap,
     Square,
     Variant,
+    domain_of,
+    evaluate,
+    make_homeo,
 )
 
 SMALL_SPECS = [
@@ -50,6 +54,19 @@ SMALL_SPECS = [
     DenseBlocks(1, Variant.NO_MAX),
     DenseBlocks(0, Variant.OPEN_INTERVAL),
 ]
+
+FAMILY_SPECS = [
+    Identity(),
+    Square(),
+    OrdinalMap(OMEGA),
+    OrdinalMap(parse_ordinal("w^2*3+2")),
+    CantorExample(3),
+    DenseBlocks(3, Variant.WITH_MAX),
+    DenseBlocks(3, Variant.NO_MAX),
+    DenseBlocks(3, Variant.OPEN_INTERVAL),
+]
+BENT_HOMEO = make_homeo([(0, 0), (F(2, 7), F(1, 2)), (F(5, 8), F(3, 5)), (1, 1)])
+ENCLOSURE_SPECS = FAMILY_SPECS + [Conjugated(s, BENT_HOMEO) for s in FAMILY_SPECS]
 
 
 def bfs_reachable(adj, start):
@@ -236,6 +253,40 @@ class TestEdges:
         g = build_chain_graph(Identity(), grid, field)
         assert g.adjacency[0] == (0, 1, 2)
         assert g.adjacency[15] == tuple(range(10, 16))
+
+
+class TestEnclosureSoundness:
+    """Every true step x -> f(x) out of a cell is an edge of the enclosure
+    graph, whatever the slack; this is what lets edge order stand in for a
+    pointwise descent check."""
+
+    @given(
+        st.sampled_from(ENCLOSURE_SPECS),
+        st.integers(1, 256),
+        st.sampled_from([F(1, 64), F(2)]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 255),
+                st.fractions(0, 1, max_denominator=10**6),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_true_steps_are_edges(self, spec, n, slack, random_points):
+        grid = grid_for(spec, n)
+        g = build_chain_graph(spec, grid, constant_field(slack * grid.width))
+        dom = domain_of(spec)
+        probes = [(i, t) for i in range(n) for t in (F(0), F(1, 2), F(1))]
+        probes += [(k % n, t) for k, t in random_points]
+        for i, t in probes:
+            a, b = grid.cell(i)
+            x = a + t * (b - a)
+            if not dom.contains(x):
+                continue
+            y = evaluate(spec, x)
+            if grid.lo <= y <= grid.hi:
+                assert g.has_edge(i, grid.cell_of(y)), (i, x, y)
 
 
 class TestComponents:

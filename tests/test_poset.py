@@ -21,7 +21,6 @@ from chainposet.chaingraph import (
     grid_for,
 )
 from chainposet.poset import (
-    IsoResult,
     PosetError,
     RefinementTrace,
     TraceLevel,
@@ -126,25 +125,32 @@ class TestQueries:
 class TestIsomorphism:
     def test_same_shape(self):
         other = hand_poset(3, [(0, 1), (0, 2), (1, 2)])
-        assert order_isomorphic(CHAIN3, other) == IsoResult(True, True)
+        assert order_isomorphic(CHAIN3, other) is True
 
     def test_chain_vs_fan(self):
-        assert order_isomorphic(CHAIN3, FAN3) == IsoResult(False, True)
+        assert order_isomorphic(CHAIN3, FAN3) is False
 
     def test_fan_vs_upside_down_fan(self):
         cofan = hand_poset(3, [(1, 0), (2, 0)])
-        assert order_isomorphic(FAN3, cofan) == IsoResult(False, True)
+        assert order_isomorphic(FAN3, cofan) is False
 
     def test_size_mismatch(self):
-        assert order_isomorphic(CHAIN3, hand_poset(2, [(0, 1)])).isomorphic is False
+        assert order_isomorphic(CHAIN3, hand_poset(2, [(0, 1)])) is False
 
-    @given(posets(), st.randoms(use_true_random=False))
-    def test_relabelled_posets_are_isomorphic(self, p, rng):
-        m = len(p.components)
-        perm = list(range(m))
-        rng.shuffle(perm)
-        q = hand_poset(m, [(perm[a], perm[b]) for a, b in p.pairs])
-        assert order_isomorphic(p, q) == IsoResult(True, True)
+    def test_non_positional_relabelling_is_rejected(self):
+        # 0 < 1 and 1 < 2 are isomorphic as abstract posets on three
+        # elements, but not under k -> k
+        assert order_isomorphic(hand_poset(3, [(0, 1)]), hand_poset(3, [(1, 2)])) is False
+
+    @pytest.mark.parametrize("m", [8, 65])
+    def test_equal_degree_profiles_do_not_decide(self, m):
+        # an 8-cycle against two 4-cycles of the same bipartite shape: every
+        # component has the same (down, up) profile in both, so no degree
+        # invariant tells them apart; the 65-component padding guards
+        # against a size cutoff that answers without deciding
+        ring = [(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4)]
+        squares = [(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)]
+        assert order_isomorphic(hand_poset(m, ring), hand_poset(m, squares)) is False
 
 
 class TestDot:
@@ -183,7 +189,9 @@ class TestLadderChain:
         poset = chain_components(condense(g))
         rev = dual(poset)
         assert linear_order_type(rev) == (4, 3, 2, 1, 0)
-        assert order_isomorphic(poset, rev) == IsoResult(True, True)
+        # the dual is the same chain read backwards: isomorphic as an
+        # abstract order, but not with component k sent to component k
+        assert order_isomorphic(poset, rev) is False
 
 
 class TestMatching:
