@@ -163,18 +163,11 @@ def auto_field(grid: Grid) -> ConstantField:
     return ConstantField(2 * grid.width)
 
 
-class Mode:
-    ENCLOSURE = "enclosure"
-    SAMPLED = "sampled"
-    ALL = (ENCLOSURE, SAMPLED)
-
-
 @dataclass(frozen=True)
 class ChainGraph:
     spec: SystemSpec
     grid: Grid
     eps: EpsilonField
-    mode: str
     adjacency: Tuple[Tuple[int, ...], ...]
 
     @property
@@ -190,35 +183,25 @@ class ChainGraph:
         return k < len(row) and row[k] == j
 
 
-def _cell_parts(
-    spec: SystemSpec, grid: Grid, mode: str
+def cell_images(
+    spec: SystemSpec, grid: Grid
 ) -> List[Tuple[Tuple[Fraction, Fraction], ...]]:
-    n = grid.n
-    if mode == Mode.SAMPLED:
-        parts = []
-        for i in range(n):
-            a, b = grid.cell(i)
-            ys = sorted({evaluate(spec, x) for x in (a, (a + b) / 2, b)})
-            parts.append(tuple((y, y) for y in ys))
-        return parts
+    """Exact image of every closed cell, as sorted disjoint intervals."""
     if is_increasing(spec):
         vals = [evaluate(spec, x) for x in grid.points()]
-        return [((vals[i], vals[i + 1]),) for i in range(n)]
-    return [image_intervals(spec, *grid.cell(i)) for i in range(n)]
+        return [((vals[i], vals[i + 1]),) for i in range(grid.n)]
+    return [image_intervals(spec, *grid.cell(i)) for i in range(grid.n)]
 
 
 def build_chain_graph(
     spec: SystemSpec,
     grid: Grid,
     eps: Optional[EpsilonField] = None,
-    mode: str = Mode.ENCLOSURE,
 ) -> ChainGraph:
     """Exact transition graph of single chain steps on the grid."""
-    if mode not in Mode.ALL:
-        raise ChainGraphError(f"mode must be one of {Mode.ALL}")
     if eps is None:
         eps = auto_field(grid)
-    parts = _cell_parts(spec, grid, mode)
+    parts = cell_images(spec, grid)
     n, lo, w = grid.n, grid.lo, grid.width
     adjacency: List[Tuple[int, ...]] = []
     total = 0
@@ -252,7 +235,7 @@ def build_chain_graph(
             if k is not None:
                 row.pop(k)
         adjacency.append(tuple(row))
-    return ChainGraph(spec, grid, eps, mode, tuple(adjacency))
+    return ChainGraph(spec, grid, eps, tuple(adjacency))
 
 
 def _index_of(row: Sequence[int], j: int) -> Optional[int]:

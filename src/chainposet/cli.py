@@ -43,6 +43,7 @@ from .poset import (
 )
 from .systems import (
     Conjugated,
+    DescentBudgetError,
     SystemSpec,
     make_homeo,
     predicted_label,
@@ -123,10 +124,7 @@ def _conjugacy_level(
     conjugated = isinstance(spec, Conjugated)
     other_spec: SystemSpec = spec.inner if conjugated else Conjugated(spec, h)
     other_graph = build_chain_graph(
-        other_spec,
-        grid_for(other_spec, graph.grid.n),
-        _field_for(config.eps),
-        config.mode,
+        other_spec, grid_for(other_spec, graph.grid.n), _field_for(config.eps)
     )
     other_poset = chain_components(condense(other_graph))
     base, twin = (other_poset, poset) if conjugated else (poset, other_poset)
@@ -155,9 +153,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
 
     for level, n in enumerate(config.resolutions):
         spec = config.system.build(config.depth_at(level))
-        graph = build_chain_graph(
-            spec, grid_for(spec, n), _field_for(config.eps), config.mode
-        )
+        graph = build_chain_graph(spec, grid_for(spec, n), _field_for(config.eps))
         cond = condense(graph)
         poset = chain_components(cond)
         graphs.append(graph)
@@ -180,7 +176,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
 
         if "lyapunov" in config.tasks:
             assignment = synthesize(cond)
-            certification = verify(assignment, graph, samples=config.samples)
+            certification = verify(assignment, graph)
             entry["lyapunov"] = {
                 "component_values": [_fr(v) for v in assignment.component_values],
                 "certified": certification.all_passed,
@@ -206,12 +202,10 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         levels.append(entry)
 
     report: Dict = {
-        "schema": "chainposet-report-v1",
+        "schema": "chainposet-report-v2",
         "system": _params_echo(config.system),
         "eps": _eps_echo(config.eps),
-        "mode": config.mode,
         "tasks": list(config.tasks),
-        "samples": config.samples,
         "levels": levels,
     }
 
@@ -402,7 +396,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"n={entry['n']} label={entry['label']} representatives: {reps}", file=out)
         return 0
 
-    artifacts = run_full(config, seedless=getattr(args, "seedless", False))
+    try:
+        artifacts = run_full(config, seedless=getattr(args, "seedless", False))
+    except DescentBudgetError as e:
+        print(f"evaluation error: {e}", file=sys.stderr)
+        return 2
     report = artifacts.report
 
     if args.command == "dot":

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .chaingraph import Mode, piecewise_field
+from .chaingraph import piecewise_field
 from .ordinal import Ordinal, OrdinalSyntaxError, parse_ordinal
 from .systems import (
     Conjugated,
@@ -36,7 +36,6 @@ _KEYS = frozenset(
         "resolutions",
         "depths",
         "eps",
-        "mode",
         "tasks",
         "samples",
     }
@@ -89,9 +88,7 @@ class AnalysisConfig:
     resolutions: Tuple[int, ...]
     depths: Optional[Tuple[int, ...]] = None
     eps: EpsSpec = "auto"
-    mode: str = Mode.ENCLOSURE
     tasks: Tuple[str, ...] = ("components",)
-    samples: int = 10
 
     def depth_at(self, level: int) -> Optional[int]:
         return self.depths[level] if self.depths is not None else None
@@ -276,14 +273,6 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
             if eps <= 0:
                 raise ConfigError("eps must be positive", line)
 
-    mode = Mode.ENCLOSURE
-    got = _take(raw, "mode")
-    if got is not None:
-        text, line = got
-        if text not in (Mode.ENCLOSURE, Mode.SAMPLED):
-            raise ConfigError(f"mode must be {Mode.ENCLOSURE} or {Mode.SAMPLED}", line)
-        mode = text
-
     tasks: Tuple[str, ...] = ("components",)
     got = _take(raw, "tasks")
     if got is not None:
@@ -301,17 +290,15 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
         if "conjugacy" in tasks and params.homeo is None:
             raise ConfigError("the conjugacy task needs a 'homeo' key", line)
 
-    samples = 10
+    # ignored since descent stopped sampling; kept because the benchmark tests write it
     got = _take(raw, "samples")
-    if got is not None:
-        samples = _integer(*got)
-        if samples < 1:
-            raise ConfigError("samples must be positive", got[1])
+    if got is not None and _integer(*got) < 1:
+        raise ConfigError("samples must be positive", got[1])
 
     for key, (_, line) in raw.items():
         raise ConfigError(f"key {key!r} does not apply here", line)
 
-    config = AnalysisConfig(params, resolutions, depths, eps, mode, tasks, samples)
+    config = AnalysisConfig(params, resolutions, depths, eps, tasks)
     for level in range(len(resolutions)):
         try:
             params.build(config.depth_at(level))

@@ -4,19 +4,20 @@ synthesize ranks the condensation of a chain graph from its sinks up and
 places the ranks at middle-third set points, so the assignment is
 constant on every strongly connected piece, strictly decreasing along
 every condensation edge, and injective across components.  verify checks
-those properties again from scratch against the graph and fresh samples
-of the dynamics, and reports each check separately.
+those properties again from scratch against the graph and the exact
+images of the cells, and reports each check separately.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .chaingraph import ChainGraph, Condensation, Grid, condense
-from .systems import domain_of, evaluate
+from .systems import SystemSpec, evaluate, image_intervals, is_increasing
 
 
 def cantor_value(rank: int, total: int) -> Fraction:
@@ -41,18 +42,16 @@ def in_middle_third_set(x: Fraction) -> bool:
     """Membership test for finite base-3 expansions with digits 0 and 2."""
     if not 0 <= x < 1:
         return False
-    den = x.denominator
-    while den % 3 == 0:
-        den //= 3
-    if den != 1:
+    p, q = x.numerator, x.denominator
+    while q % 3 == 0:
+        q //= 3
+    if q != 1:
         return False
-    y = x
-    while y > 0:
-        y *= 3
-        digit = int(y)
+    # x = p/3^k, so the expansion's digits are the k base-3 digits of p
+    while p:
+        p, digit = divmod(p, 3)
         if digit == 1:
             return False
-        y -= digit
     return True
 
 
@@ -113,35 +112,62 @@ class CertificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _sample_points(grid: Grid, i: int, samples: int) -> List[Fraction]:
-    # sample k of cell i is lo + w*(i + (k+1)/(samples+1)), built on the
-    # integer parts of lo and w
-    lo, w = grid.lo, grid.width
-    m = samples + 1
-    den = lo.denominator * w.denominator * m
-    step = w.numerator * lo.denominator
-    base = lo.numerator * w.denominator * m + step * i * m
-    return [Fraction(base + step * k, den) for k in range(1, m)]
+def _descent(
+    spec: SystemSpec, grid: Grid, cond: Condensation, values: Tuple[Fraction, ...]
+) -> Tuple[CheckResult, int]:
+    """Descent over the exact cell images, and the count of image parts
+    that lie wholly outside the grid.
+
+    Some point of cell i steps into each cell j whose closed cell meets
+    the image of cell i, so each such j must sit in i's component at the
+    same value, or strictly below it.
+    """
+    n, lo, hi, w = grid.n, grid.lo, grid.hi, grid.width
+    # not chaingraph.cell_images: the certificate is checked against images
+    # that the graph build did not produce
+    if is_increasing(spec):
+        ys = [evaluate(spec, x) for x in grid.points()]
+        images = [((ys[i], ys[i + 1]),) for i in range(n)]
+    else:
+        images = [image_intervals(spec, *grid.cell(i)) for i in range(n)]
+    comp_of = cond.comp_of
+    skipped = 0
+    for i, parts in enumerate(images):
+        for p, q in parts:
+            if q < lo or p > hi:
+                skipped += 1
+                continue
+            for j in range(
+                max(0, math.ceil((p - lo) / w) - 1),
+                min(n - 1, math.floor((q - lo) / w)) + 1,
+            ):
+                if comp_of[i] == comp_of[j]:
+                    if values[i] != values[j]:
+                        return CheckResult(
+                            "descent", False,
+                            f"cell {i} steps into cell {j} of its own component "
+                            f"but changes value",
+                        ), skipped
+                elif not values[i] > values[j]:
+                    return CheckResult(
+                        "descent", False,
+                        f"cell {i} steps into cell {j} without descending "
+                        f"({values[i]} vs {values[j]})",
+                    ), skipped
+    return CheckResult("descent", True), skipped
 
 
-def verify(
-    assignment: LyapunovAssignment,
-    graph: ChainGraph,
-    samples: int = 10,
-) -> CertificationReport:
+def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationReport:
     """Re-check the Lyapunov properties against the graph and dynamics.
 
     The condensation is recomputed here from the graph on purpose: the
     certificate is then checked against structure that was not handed in
     alongside it, so a wrong condensation given to `synthesize` cannot
-    certify itself.
+    certify itself.  Descent is decided on the exact image of every cell,
+    recomputed here as well, so it covers every point of the grid.
     """
     if assignment.grid != graph.grid:
         raise ValueError("assignment and graph use different grids")
-    if samples < 1:
-        raise ValueError("need at least one sample per cell")
-    spec = graph.spec
-    grid = graph.grid
     values = assignment.cell_values
     cond = condense(graph)
     notes: List[str] = []
@@ -178,37 +204,9 @@ def verify(
         if not edge_order.passed:
             break
 
-    descent = CheckResult("descent", True)
-    dom = domain_of(spec)
-    skipped = 0
-    for i in range(grid.n):
-        for x in _sample_points(grid, i, samples):
-            if not dom.contains(x):
-                skipped += 1
-                continue
-            y = evaluate(spec, x)
-            if not grid.lo <= y <= grid.hi:
-                skipped += 1
-                continue
-            j = grid.cell_of(y)
-            if cond.comp_of[i] == cond.comp_of[j]:
-                if values[i] != values[j]:
-                    descent = CheckResult(
-                        "descent", False,
-                        f"step {x} -> {y} moves within one component "
-                        f"but changes value",
-                    )
-                    break
-            elif not values[i] > values[j]:
-                descent = CheckResult(
-                    "descent", False,
-                    f"step {x} -> {y} leaves cell {i} without descending",
-                )
-                break
-        if not descent.passed:
-            break
+    descent, skipped = _descent(graph.spec, graph.grid, cond, values)
     if skipped:
-        notes.append(f"descent: skipped {skipped} samples outside the grid")
+        notes.append(f"descent: skipped {skipped} image parts outside the grid")
 
     value_set = CheckResult("value_set", True)
     # distinct values in order of first use, so the witness is the first

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 from .chaingraph import (
     ComponentPoset,
     EpsilonField,
-    Mode,
     build_chain_graph,
     chain_components,
     condense,
@@ -117,9 +116,8 @@ def trace_level(
     spec: SystemSpec,
     n: int,
     eps: Optional[EpsilonField] = None,
-    mode: str = Mode.ENCLOSURE,
 ) -> TraceLevel:
-    graph = build_chain_graph(spec, grid_for(spec, n), eps, mode)
+    graph = build_chain_graph(spec, grid_for(spec, n), eps)
     depth = getattr(spec, "depth", None)
     return TraceLevel(n, depth, graph.eps, chain_components(condense(graph)))
 

@@ -41,6 +41,13 @@ from .ordinal import (
 )
 
 MAX_FAMILY_DEPTH = 20
+# steps one ordinal descent may take; above w^w a descent at a single
+# rational can otherwise run for minutes
+MAX_DESCENT_STEPS = 1024
+
+
+class DescentBudgetError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -215,12 +222,16 @@ def conjugate(spec: SystemSpec, homeo: PLHomeo) -> Conjugated:
     return Conjugated(spec, homeo)
 
 
+_UNIT = Domain(Fraction(0), Fraction(1))
+_OPEN_UNIT = Domain(Fraction(0), Fraction(1), closed_lo=False, closed_hi=False)
+
+
 def domain_of(spec: SystemSpec) -> Domain:
     if isinstance(spec, DenseBlocks) and spec.variant is Variant.OPEN_INTERVAL:
-        return Domain(Fraction(0), Fraction(1), closed_lo=False, closed_hi=False)
+        return _OPEN_UNIT
     if isinstance(spec, Conjugated):
         return domain_of(spec.inner)
-    return Domain(Fraction(0), Fraction(1))
+    return _UNIT
 
 
 def is_increasing(spec: SystemSpec) -> bool:
@@ -241,9 +252,10 @@ def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
     # far is (s + inner)/c, where inner is the current index's map at x; the
     # block index (unbounded near 1) never turns into stack depth, and only
     # the returned value is normalised
+    start = index
     p, q = x.numerator, x.denominator
     s, c = 0, 1
-    while True:
+    for _ in range(MAX_DESCENT_STEPS):
         if p == 0:
             return Fraction(s, c)
         if p == q:
@@ -269,6 +281,10 @@ def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
         c *= block
         p = ((n + 1) * p - n * q) * (n + 2)
         index = _block_index(head, tail_exp, n)
+    raise DescentBudgetError(
+        f"evaluating the index-{format_ordinal(start)} map at {x} took more than "
+        f"{MAX_DESCENT_STEPS} descent steps"
+    )
 
 
 def _block_index(head: Ordinal, tail_exp: Ordinal, n: int) -> Ordinal:

@@ -226,7 +226,7 @@ def test_07_lyapunov_contract():
     # order, and middle-thirds value membership
     for name, spec in bundled_systems():
         graph = build_chain_graph(spec, grid_for(spec, 1024))
-        report = verify(synthesize(condense(graph)), graph, samples=10)
+        report = verify(synthesize(condense(graph)), graph)
         failed = [c.name for c in report.checks if not c.passed]
         assert report.all_passed, (name, failed)
 

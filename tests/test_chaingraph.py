@@ -15,7 +15,6 @@ from chainposet.chaingraph import (
     ChainGraphError,
     ConstantField,
     Grid,
-    Mode,
     PiecewiseField,
     auto_field,
     build_chain_graph,
@@ -227,15 +226,6 @@ class TestEdges:
         g1 = build_chain_graph(spec, grid, ConstantField(lo_eps))
         g2 = build_chain_graph(spec, grid, ConstantField(hi_eps))
         assert is_edge_subset(g1, g2)
-
-    @given(st.sampled_from(SMALL_SPECS), st.integers(4, 40), st.integers(1, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_sampled_edges_within_enclosure_edges(self, spec, n, a):
-        grid = grid_for(spec, n)
-        eps = ConstantField(F(a, 24))
-        sampled = build_chain_graph(spec, grid, eps, mode=Mode.SAMPLED)
-        enclosed = build_chain_graph(spec, grid, eps)
-        assert is_edge_subset(sampled, enclosed)
 
     @given(st.sampled_from(SMALL_SPECS), st.integers(4, 32))
     @settings(max_examples=40, deadline=None)

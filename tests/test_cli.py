@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -51,9 +52,7 @@ lambda = 2
 homeo = [(0, 0), (1/3, 1/2), (1, 1)]
 resolutions = [128, 256]
 eps = 1/32
-mode = enclosure
 tasks = [components, refine]
-samples = 4
 """
 
 
@@ -67,7 +66,6 @@ class TestConfigParse:
         assert cfg.resolutions == (128, 256)
         assert cfg.eps == F(1, 32)
         assert cfg.tasks == ("components", "refine")
-        assert cfg.samples == 4
         spec = cfg.system.build()
         assert isinstance(spec, Conjugated)
 
@@ -75,9 +73,11 @@ class TestConfigParse:
         cfg = parse_config("system = ordinal\nlambda = w\nresolutions = 64\n")
         assert cfg.resolutions == (64,)
         assert cfg.eps == "auto"
-        assert cfg.mode == "enclosure"
         assert cfg.tasks == ("components",)
-        assert cfg.samples == 10
+
+    def test_samples_is_accepted_and_ignored(self):
+        base = "system = ordinal\nlambda = w\nresolutions = 64\n"
+        assert parse_config(base + "samples = 3\n") == parse_config(base)
 
     def test_depths_align_with_resolutions(self):
         cfg = parse_config(
@@ -300,10 +300,10 @@ class TestRun:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("cantor_trace.cfg", "00bc6d7ac53a56bfd9cec4e6b105be2c2e2d4deb42dbea2133fc22a49e45d6a3"),
-            ("conjugacy.cfg", "8de3461d4c6974a0209c0d558452ffa215010d8fd71cccc07056937231e0b3da"),
-            ("dense_blocks_trace.cfg", "20ac1977074231999d3717e98fff1f859fff800430584643772c553561c2ef6c"),
-            ("ordinal_omega.cfg", "0d1c09fd51e2fbb52849ae4bb439adae59a0571f84c648f67c55f68ea68376e9"),
+            ("cantor_trace.cfg", "8110050a8a05060308a961bc59bea28b809fb2e5973725d73d36a5133426ff0e"),
+            ("conjugacy.cfg", "e4730b714d0a4ed1afe53087bb821d71cb737009985f13454ef48c22241e91ca"),
+            ("dense_blocks_trace.cfg", "d5af026eea81169b713c1d1827b014c1b5e065a3defd927b39a1f304b016a387"),
+            ("ordinal_omega.cfg", "71d5a2103e0860591c4c778eb322574d380151c01360525a00fbe5be4e58c511"),
         ],
     )
     def test_bundled_reports_frozen(self, name, digest):
@@ -405,6 +405,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "line 2" in err
+
+    def test_runaway_descent_exit_code(self, tmp_path, capsys):
+        # descents above w^w can run for minutes at one rational; the budget
+        # stops this run within a second
+        cfg = self._write(
+            tmp_path,
+            "system = conjugated\ninner = ordinal\nlambda = w^(w^2)\n"
+            "homeo = [(0, 0), (13/97, 29/101), (1, 1)]\nresolutions = [1024]\n"
+            "tasks = [components, lyapunov]\n",
+        )
+        t0 = time.monotonic()
+        assert main(["analyze", cfg, "--seedless"]) == 2
+        assert time.monotonic() - t0 < 10
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error:")
+        assert "w^(w^2)" in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.cfg")]) == 2

@@ -1,5 +1,6 @@
 """Lyapunov synthesis and certification tests."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -109,7 +110,7 @@ class TestSynthesize:
     @settings(max_examples=50, deadline=None)
     def test_certification_passes(self, spec, n, a):
         g = build_chain_graph(spec, grid_for(spec, n), constant_field(F(a, 32)))
-        report = verify(synthesize(condense(g)), g, samples=4)
+        report = verify(synthesize(condense(g)), g)
         assert report.all_passed, [c for c in report.checks if not c.passed]
 
 
@@ -128,8 +129,11 @@ class TestVerifyCatchesViolations:
             good.grid, tuple(values), good.component_values, good.ranks
         )
         report = verify(bad, g)
-        assert not report.all_passed
-        assert not [c for c in report.checks if c.name == "constancy"][0].passed
+        by_name = {c.name: c for c in report.checks}
+        assert not by_name["constancy"].passed
+        assert "cell 1 steps into cell 0 of its own component" in (
+            by_name["descent"].witness
+        )
 
     def test_reversed_order_fails_descent_and_edges(self):
         g = self.graph()
@@ -166,6 +170,65 @@ class TestVerifyCatchesViolations:
         )
         report = verify(bad, g)
         assert not [c for c in report.checks if c.name == "injectivity"][0].passed
+
+    def ordinal_graph(self):
+        spec = OrdinalMap(Ordinal.from_int(2))
+        g = build_chain_graph(spec, grid_for(spec, 8), constant_field(F(1, 64)))
+        assert g.adjacency == (
+            (0,), (0, 1), (0, 1, 2), (2, 3, 4), (3, 4), (4, 5), (5, 6), (6, 7)
+        )
+        return g
+
+    def failed(self, assignment, graph):
+        return {c.name for c in verify(assignment, graph).checks if not c.passed}
+
+    @pytest.mark.parametrize("i, j", [(3, 4), (4, 3)])
+    def test_missing_true_step_fails_descent(self, i, j):
+        # the fixed point 1/2 is the corner of cells 3 and 4: the image of
+        # cell 3 is [9/32, 1/2] and that of cell 4 is [1/2, 37/64], so each
+        # meets the other cell at one end of its range.  With the edge
+        # i -> j gone the graph certifies itself, and only the images see
+        # the step
+        g = self.ordinal_graph()
+        rows = list(g.adjacency)
+        rows[i] = tuple(k for k in rows[i] if k != j)
+        bad = dataclasses.replace(g, adjacency=tuple(rows))
+        report = verify(synthesize(condense(bad)), bad)
+        assert {c.name for c in report.checks if not c.passed} == {"descent"}
+        witness = report.checks[0].witness
+        assert f"cell {i} steps into cell {j}" in witness
+
+    def test_off_by_one_image_range_fails_descent(self):
+        # dropping the last target of every row is what an image range one
+        # cell short produces
+        g = self.ordinal_graph()
+        short = dataclasses.replace(
+            g, adjacency=tuple(row[:-1] for row in g.adjacency)
+        )
+        assert "descent" in self.failed(synthesize(condense(short)), short)
+
+    def test_raised_cell_value_fails(self):
+        g = self.ordinal_graph()
+        good = synthesize(condense(g))
+        values = list(good.cell_values)
+        values[0] = F(26, 27)  # above every other value, still in the set
+        bad = dataclasses.replace(good, cell_values=tuple(values))
+        assert {"descent", "edge_order"} <= self.failed(bad, g)
+
+    def test_raised_edge_target_value_fails(self):
+        g = self.ordinal_graph()
+        cond = condense(g)
+        good = synthesize(cond)
+        i, j = next(
+            (i, j)
+            for i, row in enumerate(g.adjacency)
+            for j in row
+            if cond.comp_of[i] != cond.comp_of[j]
+        )
+        values = list(good.cell_values)
+        values[j] = values[i]
+        bad = dataclasses.replace(good, cell_values=tuple(values))
+        assert {"descent", "edge_order"} <= self.failed(bad, g)
 
     def test_grid_mismatch_rejected(self):
         g = self.graph()
