@@ -12,16 +12,20 @@ import argparse
 from chainposet import (
     CantorExample,
     DenseBlocks,
-    RefinementTrace,
     Variant,
+    build_chain_graph,
+    chain_components,
+    condense,
     density_signature,
-    trace_level,
+    grid_for,
 )
 
 
 def signature_for(specs, resolutions):
-    levels = tuple(trace_level(s, n) for s, n in zip(specs, resolutions))
-    return density_signature(RefinementTrace(levels))
+    return density_signature([
+        chain_components(condense(build_chain_graph(s, grid_for(s, n))))
+        for s, n in zip(specs, resolutions)
+    ])
 
 
 def describe(name, sig) -> None:

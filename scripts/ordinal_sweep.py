@@ -10,12 +10,12 @@ order-type label.  Counts converge to the label as the grid refines.
 import argparse
 
 from chainposet import (
+    OrdinalMap,
     build_chain_graph,
     chain_components,
     condense,
     grid_for,
     is_linear,
-    make_ordinal_map,
     parse_ordinal,
     predicted_label,
 )
@@ -39,7 +39,7 @@ def main() -> None:
 
     print(f"{'ordinal':>10} {'n':>6} {'components':>10} {'linear':>6} {'label':>10}")
     for text in ordinals:
-        spec = make_ordinal_map(parse_ordinal(text))
+        spec = OrdinalMap(parse_ordinal(text))
         label = predicted_label(spec)
         for n in resolutions:
             graph = build_chain_graph(spec, grid_for(spec, n))

@@ -30,10 +30,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .systems import (
     SystemSpec,
-    domain_of,
     evaluate,
     image_intervals,
     is_increasing,
+    is_open,
 )
 
 MAX_CELLS = 1 << 20
@@ -86,10 +86,9 @@ def grid_for(spec: SystemSpec, n: int) -> Grid:
     Open domains are inset by exactly one cell width at each end, so n
     cells over (0, 1) cover [1/(n+2), (n+1)/(n+2)].
     """
-    dom = domain_of(spec)
-    if dom.closed_lo and dom.closed_hi:
-        return Grid(dom.lo, dom.hi, n)
-    return Grid(Fraction(1, n + 2), Fraction(n + 1, n + 2), n)
+    if is_open(spec):
+        return Grid(Fraction(1, n + 2), Fraction(n + 1, n + 2), n)
+    return Grid(Fraction(0), Fraction(1), n)
 
 
 @dataclass(frozen=True)
@@ -230,19 +229,10 @@ def build_chain_graph(
         row: List[int] = []
         for a, b in merged:
             row.extend(range(a, b + 1))
-        if not hits_self:
-            k = _index_of(row, i)
-            if k is not None:
-                row.pop(k)
+        if not hits_self and i in row:
+            row.remove(i)
         adjacency.append(tuple(row))
     return ChainGraph(spec, grid, eps, tuple(adjacency))
-
-
-def _index_of(row: Sequence[int], j: int) -> Optional[int]:
-    k = bisect.bisect_left(row, j)
-    if k < len(row) and row[k] == j:
-        return k
-    return None
 
 
 def dump_adjacency(graph: ChainGraph) -> str:

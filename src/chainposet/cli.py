@@ -30,8 +30,6 @@ from .lyapunov import synthesize, verify
 from .ordinal import format_ordinal
 from .poset import (
     PosetError,
-    RefinementTrace,
-    TraceLevel,
     density_signature,
     is_linear,
     linear_order_type,
@@ -209,13 +207,6 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         "levels": levels,
     }
 
-    trace = RefinementTrace(
-        tuple(
-            TraceLevel(g.grid.n, e.get("depth"), g.eps, p)
-            for e, g, p in zip(levels, graphs, posets)
-        )
-    )
-
     if "refine" in config.tasks:
         matches: List[List[Optional[int]]] = []
         tolerances: List[str] = []
@@ -236,7 +227,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
 
     if "signature" in config.tasks:
         try:
-            sig = density_signature(trace)
+            sig = density_signature(posets)
         except PosetError as e:
             report["signature"] = {"error": str(e)}
             checks.append({"name": "signature", "passed": False})

@@ -12,13 +12,13 @@ from typing import Dict, List, Optional, Tuple, Union
 from .chaingraph import piecewise_field
 from .ordinal import Ordinal, OrdinalSyntaxError, parse_ordinal
 from .systems import (
+    CantorExample,
     Conjugated,
+    DenseBlocks,
+    OrdinalMap,
     SystemSpec,
     Variant,
-    make_cantor_example,
-    make_dense_blocks,
     make_homeo,
-    make_ordinal_map,
 )
 
 KNOWN_TASKS = ("components", "lyapunov", "refine", "signature", "conjugacy")
@@ -73,13 +73,13 @@ class SystemParams:
             return Conjugated(self.inner.build(depth), make_homeo(self.homeo))
         if self.kind == "ordinal":
             assert self.lam is not None
-            return make_ordinal_map(self.lam)
+            return OrdinalMap(self.lam)
         d = depth if depth is not None else self.depth
         if d is None:
             raise ValueError("no depth configured for this system")
         if self.kind == "cantor":
-            return make_cantor_example(d)
-        return make_dense_blocks(d, self.variant)
+            return CantorExample(d)
+        return DenseBlocks(d, self.variant)
 
 
 @dataclass(frozen=True)

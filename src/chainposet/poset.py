@@ -1,27 +1,19 @@
-"""Order-theoretic views of component posets and refinement traces.
+"""Order-theoretic views of component posets.
 
 A ComponentPoset lists recurrent components left to right with (a, b)
 pairs meaning a sits strictly below b.  This module adds the usual poset
 queries, duality, a positional order-isomorphism check and, across a
-trace of increasingly fine analyses, a density signature that tells gaps
-that keep subdividing apart from gaps that persist.
+sequence of increasingly fine analyses, a density signature that tells
+gaps that keep subdividing apart from gaps that persist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .chaingraph import (
-    ComponentPoset,
-    EpsilonField,
-    build_chain_graph,
-    chain_components,
-    condense,
-    grid_for,
-)
-from .systems import SystemSpec
+from .chaingraph import ComponentPoset
 
 
 class PosetError(ValueError):
@@ -96,30 +88,7 @@ def to_dot(poset: ComponentPoset, name: str = "chain_components") -> str:
     return "\n".join(lines) + "\n"
 
 
-# refinement traces
-
-
-@dataclass(frozen=True)
-class TraceLevel:
-    resolution: int
-    depth: Optional[int]
-    eps: EpsilonField
-    poset: ComponentPoset
-
-
-@dataclass(frozen=True)
-class RefinementTrace:
-    levels: Tuple[TraceLevel, ...]
-
-
-def trace_level(
-    spec: SystemSpec,
-    n: int,
-    eps: Optional[EpsilonField] = None,
-) -> TraceLevel:
-    graph = build_chain_graph(spec, grid_for(spec, n), eps)
-    depth = getattr(spec, "depth", None)
-    return TraceLevel(n, depth, graph.eps, chain_components(condense(graph)))
+# refinement
 
 
 def match_components(
@@ -184,8 +153,8 @@ def _locate(fine: ComponentPoset, x: Fraction) -> Optional[int]:
     return None
 
 
-def density_signature(trace: RefinementTrace) -> DensitySignature:
-    """Contrast of refining and persisting gaps along the trace.
+def density_signature(posets: Sequence[ComponentPoset]) -> DensitySignature:
+    """Contrast of refining and persisting gaps along the refinement levels.
 
     dense_growth holds when every gap between neighbouring components
     acquires a new component at every step.  A level-0 gap persists when
@@ -193,18 +162,17 @@ def density_signature(trace: RefinementTrace) -> DensitySignature:
     neighbouring components all the way down; such pairs are reported
     with their facing endpoints at the final level.
     """
-    if len(trace.levels) < 2:
+    if len(posets) < 2:
         raise PosetError("need at least two levels")
-    for lvl, level in enumerate(trace.levels):
-        _validate_spatial(level.poset, lvl)
-    counts = tuple(len(level.poset.components) for level in trace.levels)
+    for lvl, poset in enumerate(posets):
+        _validate_spatial(poset, lvl)
+    counts = tuple(len(poset.components) for poset in posets)
     dense = True
-    base = trace.levels[0].poset
+    base = posets[0]
     active = [
         ((k, k + 1), _gap(base, k)) for k in range(len(base.components) - 1)
     ]
-    for coarse_level, fine_level in zip(trace.levels, trace.levels[1:]):
-        coarse, fine = coarse_level.poset, fine_level.poset
+    for coarse, fine in zip(posets, posets[1:]):
         for k in range(len(coarse.components) - 1):
             if not _refines(fine, _gap(coarse, k)):
                 dense = False

@@ -4,9 +4,9 @@ Every system here is specified by a small frozen dataclass and evaluated
 with Fraction arithmetic, so results are reproducible bit for bit.  The
 bundled families are:
 
-- Identity and Square (x and x^2),
 - OrdinalMap: the transfinite family indexed by ordinals below epsilon_0,
-  built by halving successor steps and shrinking-block limit steps,
+  x at index 0 and x^2 at index 1, then built by halving successor steps
+  and shrinking-block limit steps,
 - CantorExample: identity with a quadratic dip on each removed middle
   third, strictly increasing and continuous,
 - DenseBlocks: piecewise-constant maps whose plateau blocks sit at the
@@ -33,7 +33,6 @@ from .ordinal import (
     OrdinalKind,
     add,
     classify,
-    compare,
     format_ordinal,
     fundamental,
     omega_power,
@@ -48,23 +47,6 @@ MAX_DESCENT_STEPS = 1024
 
 class DescentBudgetError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Domain:
-    lo: Fraction
-    hi: Fraction
-    closed_lo: bool = True
-    closed_hi: bool = True
-
-    def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.closed_lo:
-            return False
-        if x == self.hi and not self.closed_hi:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -84,28 +66,10 @@ class Variant(Enum):
 
 
 @dataclass(frozen=True)
-class Identity:
-    pass
-
-
-@dataclass(frozen=True)
-class Square:
-    pass
-
-
-@dataclass(frozen=True)
 class OrdinalMap:
-    """Member of the transfinite family with index >= 2.
-
-    Indices 0 and 1 are Identity and Square; use make_ordinal_map to get
-    the right spec for any index.
-    """
+    """Member of the transfinite family: x at index 0, x^2 at index 1."""
 
     index: Ordinal
-
-    def __post_init__(self) -> None:
-        if compare(self.index, Ordinal.from_int(2)) < 0:
-            raise ValueError("index must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -199,44 +163,19 @@ class Conjugated:
     homeo: PLHomeo
 
 
-SystemSpec = Union[Identity, Square, OrdinalMap, CantorExample, DenseBlocks, Conjugated]
+SystemSpec = Union[OrdinalMap, CantorExample, DenseBlocks, Conjugated]
 
 
-def make_ordinal_map(index: Ordinal) -> SystemSpec:
-    if index == ZERO:
-        return Identity()
-    if index == ONE:
-        return Square()
-    return OrdinalMap(index)
-
-
-def make_cantor_example(depth: int) -> CantorExample:
-    return CantorExample(depth)
-
-
-def make_dense_blocks(depth: int, variant: Variant = Variant.WITH_MAX) -> DenseBlocks:
-    return DenseBlocks(depth, variant)
-
-
-def conjugate(spec: SystemSpec, homeo: PLHomeo) -> Conjugated:
-    return Conjugated(spec, homeo)
-
-
-_UNIT = Domain(Fraction(0), Fraction(1))
-_OPEN_UNIT = Domain(Fraction(0), Fraction(1), closed_lo=False, closed_hi=False)
-
-
-def domain_of(spec: SystemSpec) -> Domain:
-    if isinstance(spec, DenseBlocks) and spec.variant is Variant.OPEN_INTERVAL:
-        return _OPEN_UNIT
+def is_open(spec: SystemSpec) -> bool:
+    """True when the domain is (0, 1) rather than [0, 1]."""
     if isinstance(spec, Conjugated):
-        return domain_of(spec.inner)
-    return _UNIT
+        return is_open(spec.inner)
+    return isinstance(spec, DenseBlocks) and spec.variant is Variant.OPEN_INTERVAL
 
 
 def is_increasing(spec: SystemSpec) -> bool:
     """True when the system is continuous and strictly increasing."""
-    if isinstance(spec, (Identity, Square, OrdinalMap, CantorExample)):
+    if isinstance(spec, (OrdinalMap, CantorExample)):
         return True
     if isinstance(spec, Conjugated):
         return is_increasing(spec.inner)
@@ -323,10 +262,6 @@ def _rep_points(lam: Ordinal, s: int, c: int, cutoff: Fraction) -> set:
 
 def predicted_representatives(spec: SystemSpec, cutoff: Fraction) -> Tuple[Fraction, ...]:
     """Fixed points the component search should find, down to the cutoff."""
-    if isinstance(spec, Identity):
-        return (Fraction(0),)
-    if isinstance(spec, Square):
-        return (Fraction(0), Fraction(1))
     if isinstance(spec, OrdinalMap):
         return tuple(sorted(_rep_points(spec.index, 0, 1, cutoff)))
     if isinstance(spec, CantorExample):
@@ -352,10 +287,6 @@ _DENSE_LABELS = {
 
 def predicted_label(spec: SystemSpec) -> str:
     """Order-type label of the component poset under full refinement."""
-    if isinstance(spec, Identity):
-        return "1"
-    if isinstance(spec, Square):
-        return "2"
     if isinstance(spec, OrdinalMap):
         return format_ordinal(add(spec.index, ONE))
     if isinstance(spec, CantorExample):
@@ -462,12 +393,9 @@ def _eval_cantor(spec: CantorExample, x: Fraction) -> Fraction:
 def evaluate(spec: SystemSpec, x: Fraction) -> Fraction:
     """Exact value of the system at x; x must lie in the domain."""
     x = Fraction(x)
-    if not domain_of(spec).contains(x):
+    p, q = x.numerator, x.denominator
+    if not (0 < p < q if is_open(spec) else 0 <= p <= q):
         raise ValueError(f"{x} outside the domain")
-    if isinstance(spec, Identity):
-        return x
-    if isinstance(spec, Square):
-        return x * x
     if isinstance(spec, OrdinalMap):
         return _eval_index(spec.index, x)
     if isinstance(spec, CantorExample):

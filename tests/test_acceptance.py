@@ -22,9 +22,8 @@ from chainposet.chaingraph import (
     recurrent_cells,
 )
 from chainposet.lyapunov import synthesize, verify
-from chainposet.ordinal import parse_ordinal
+from chainposet.ordinal import ONE, parse_ordinal
 from chainposet.poset import (
-    RefinementTrace,
     density_signature,
     dual,
     hasse_covers,
@@ -32,17 +31,15 @@ from chainposet.poset import (
     linear_order_type,
     minimal_elements,
     order_isomorphic,
-    trace_level,
 )
 from chainposet.systems import (
     CantorExample,
+    Conjugated,
     DenseBlocks,
-    Square,
+    OrdinalMap,
     Variant,
-    conjugate,
     dense_blocks,
     make_homeo,
-    make_ordinal_map,
     predicted_representatives,
 )
 
@@ -67,24 +64,28 @@ def criterion(num: int):
 
 def bundled_systems():
     return (
-        ("square", make_ordinal_map(parse_ordinal("1"))),
-        ("chain_3", make_ordinal_map(parse_ordinal("2"))),
-        ("chain_4", make_ordinal_map(parse_ordinal("3"))),
-        ("chain_5", make_ordinal_map(parse_ordinal("4"))),
-        ("omega", make_ordinal_map(parse_ordinal("w"))),
-        ("omega_plus_1", make_ordinal_map(parse_ordinal("w+1"))),
-        ("omega_power", make_ordinal_map(parse_ordinal("w^(w)"))),
+        ("square", OrdinalMap(parse_ordinal("1"))),
+        ("chain_3", OrdinalMap(parse_ordinal("2"))),
+        ("chain_4", OrdinalMap(parse_ordinal("3"))),
+        ("chain_5", OrdinalMap(parse_ordinal("4"))),
+        ("omega", OrdinalMap(parse_ordinal("w"))),
+        ("omega_plus_1", OrdinalMap(parse_ordinal("w+1"))),
+        ("omega_power", OrdinalMap(parse_ordinal("w^(w)"))),
         ("cantor_1", CantorExample(1)),
         ("cantor_2", CantorExample(2)),
         ("dense_with_max", DenseBlocks(2, Variant.WITH_MAX)),
         ("dense_no_max", DenseBlocks(2, Variant.NO_MAX)),
         ("dense_open", DenseBlocks(2, Variant.OPEN_INTERVAL)),
-        ("conjugated", conjugate(make_ordinal_map(parse_ordinal("2")), make_homeo(SAMPLE_HOMEO))),
+        ("conjugated", Conjugated(OrdinalMap(parse_ordinal("2")), make_homeo(SAMPLE_HOMEO))),
     )
 
 
 def _contiguous(cells) -> bool:
     return cells == tuple(range(cells[0], cells[-1] + 1))
+
+
+def _poset_at(spec, n):
+    return chain_components(condense(build_chain_graph(spec, grid_for(spec, n))))
 
 
 def _max_eps(graph) -> F:
@@ -96,7 +97,7 @@ def test_01_square_two_component_chain():
     # n=1024, eps=2/1024: two contiguous bands pinned to the endpoints,
     # linearly ordered, in under 5 seconds
     t0 = time.monotonic()
-    spec = Square()
+    spec = OrdinalMap(ONE)
     graph = build_chain_graph(spec, grid_for(spec, 1024), constant_field(F(2, 1024)))
     poset = chain_components(condense(graph))
     elapsed = time.monotonic() - t0
@@ -116,7 +117,7 @@ def test_02_finite_ordinal_order_types():
     # each within 8*eps of a predicted fixed point, under 10 s per map
     for lam in (2, 3, 4):
         t0 = time.monotonic()
-        spec = make_ordinal_map(parse_ordinal(str(lam)))
+        spec = OrdinalMap(parse_ordinal(str(lam)))
         graph = build_chain_graph(spec, grid_for(spec, 2048))
         poset = chain_components(condense(graph))
         elapsed = time.monotonic() - t0
@@ -134,7 +135,7 @@ def test_02_finite_ordinal_order_types():
 def test_03_limit_ordinal_growth():
     # the omega map gains components at every refinement and every
     # component sits within 8*eps of a predicted fixed point
-    spec = make_ordinal_map(parse_ordinal("w"))
+    spec = OrdinalMap(parse_ordinal("w"))
     counts = []
     for n in (256, 1024, 4096):
         graph = build_chain_graph(spec, grid_for(spec, n))
@@ -177,24 +178,17 @@ def test_05_density_contrast():
     # refinement traces depth 1->2->3 at n 1024->2048->4096: the dense
     # family refines every gap and keeps nothing; the middle-thirds
     # family keeps its central gap pinned near (1/3, 2/3)
-    dense_trace = RefinementTrace(
-        tuple(
-            trace_level(DenseBlocks(d, Variant.WITH_MAX), n)
-            for d, n in ((1, 1024), (2, 2048), (3, 4096))
-        )
-    )
-    sig = density_signature(dense_trace)
+    sig = density_signature([
+        _poset_at(DenseBlocks(d, Variant.WITH_MAX), n)
+        for d, n in ((1, 1024), (2, 2048), (3, 4096))
+    ])
     assert sig.counts == (3, 5, 9)
     assert sig.dense_growth is True
     assert sig.persistent_pairs == ()
 
-    cantor_trace = RefinementTrace(
-        tuple(
-            trace_level(CantorExample(d), n)
-            for d, n in ((1, 1024), (2, 2048), (3, 4096))
-        )
-    )
-    sig = density_signature(cantor_trace)
+    sig = density_signature([
+        _poset_at(CantorExample(d), n) for d, n in ((1, 1024), (2, 2048), (3, 4096))
+    ])
     assert sig.counts == (2, 4, 4)
     assert sig.dense_growth is False
     assert len(sig.persistent_pairs) == 1
@@ -235,9 +229,9 @@ def test_07_lyapunov_contract():
 def test_08_conjugacy_invariance():
     # the piecewise-linear change of coordinates through (1/3, 1/2)
     # preserves the order and moves representatives with it
-    base = make_ordinal_map(parse_ordinal("2"))
+    base = OrdinalMap(parse_ordinal("2"))
     h = make_homeo(SAMPLE_HOMEO)
-    twin = conjugate(base, h)
+    twin = Conjugated(base, h)
     graph_f = build_chain_graph(base, grid_for(base, 1024))
     graph_g = build_chain_graph(twin, grid_for(twin, 1024))
     poset_f = chain_components(condense(graph_f))
@@ -256,7 +250,7 @@ def test_08_conjugacy_invariance():
 def test_09_variable_slack_sandwich():
     # a slack field inside [1/1024, 4/1024] builds an edge set between
     # the two constant builds; a flat field is bit-identical to constant
-    spec = make_ordinal_map(parse_ordinal("2"))
+    spec = OrdinalMap(parse_ordinal("2"))
     grid = grid_for(spec, 1024)
     lo = build_chain_graph(spec, grid, constant_field(F(1, 1024)))
     hi = build_chain_graph(spec, grid, constant_field(F(4, 1024)))
@@ -276,7 +270,7 @@ def test_09_variable_slack_sandwich():
 def test_10_dual_order():
     # reversing the four point chain flips covers and extremes; applying
     # dual twice returns every computed poset unchanged
-    spec = make_ordinal_map(parse_ordinal("3"))
+    spec = OrdinalMap(parse_ordinal("3"))
     graph = build_chain_graph(spec, grid_for(spec, 1024))
     poset = chain_components(condense(graph))
     assert len(poset) == 4 and is_linear(poset)
@@ -285,7 +279,7 @@ def test_10_dual_order():
     assert linear_order_type(rev) == tuple(reversed(linear_order_type(poset)))
     assert set(hasse_covers(rev)) == {(b, a) for a, b in hasse_covers(poset)}
     assert dual(rev) == poset
-    for other_spec in (Square(), DenseBlocks(1, Variant.WITH_MAX)):
+    for other_spec in (OrdinalMap(ONE), DenseBlocks(1, Variant.WITH_MAX)):
         other = chain_components(
             condense(build_chain_graph(other_spec, grid_for(other_spec, 256)))
         )

@@ -31,10 +31,10 @@ from chainposet.systems import (
     CantorExample,
     Conjugated,
     DenseBlocks,
+    OrdinalMap,
     Variant,
     evaluate,
     make_homeo,
-    make_ordinal_map,
     predicted_label,
     predicted_representatives,
 )
@@ -45,7 +45,7 @@ CONFIGS = ROOT / "scripts" / "configs"
 SAMPLE_HOMEO = ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1), F(1)))
 
 FULL_CONFIG = """
-# conjugate of the three fixed point map
+# the three fixed point map, conjugated
 system = conjugated
 inner = ordinal
 lambda = 2
@@ -161,7 +161,7 @@ class TestConfigParse:
 
 class TestPredict:
     def test_finite_ordinal_representatives(self):
-        spec = make_ordinal_map(parse_ordinal("4"))
+        spec = OrdinalMap(parse_ordinal("4"))
         reps = predicted_representatives(spec, F(1, 2048))
         assert reps == (F(0), F(1, 8), F(1, 4), F(1, 2), F(1))
         assert predicted_label(spec) == "5"
@@ -176,20 +176,20 @@ class TestPredict:
         assert {F(0), F(1, 3), F(2, 3), F(1)} <= set(reps)
 
     def test_conjugated_representatives(self):
-        spec = Conjugated(make_ordinal_map(parse_ordinal("2")), make_homeo(SAMPLE_HOMEO))
+        spec = Conjugated(OrdinalMap(parse_ordinal("2")), make_homeo(SAMPLE_HOMEO))
         reps = predicted_representatives(spec, F(1, 64))
         assert reps == (F(0), F(5, 8), F(1))
         assert predicted_label(spec) == "3"
 
     def test_limit_ordinal_label_and_nesting(self):
-        spec = make_ordinal_map(parse_ordinal("w"))
+        spec = OrdinalMap(parse_ordinal("w"))
         assert predicted_label(spec) == "w+1"
         reps = predicted_representatives(spec, F(1, 64))
         assert {F(0), F(1, 2), F(7, 12), F(2, 3)} <= set(reps)
 
     @pytest.mark.parametrize("text", ["2", "3", "4", "w", "w+1", "w^2", "w^(w)"])
     def test_representatives_are_fixed_points(self, text):
-        spec = make_ordinal_map(parse_ordinal(text))
+        spec = OrdinalMap(parse_ordinal(text))
         for x in predicted_representatives(spec, F(1, 128)):
             assert evaluate(spec, x) == x
 

@@ -21,19 +21,17 @@ from chainposet.lyapunov import (
     synthesize,
     verify,
 )
-from chainposet.ordinal import OMEGA, Ordinal
+from chainposet.ordinal import OMEGA, ONE, ZERO, Ordinal
 from chainposet.systems import (
     CantorExample,
     DenseBlocks,
-    Identity,
     OrdinalMap,
-    Square,
     Variant,
 )
 
 CLOSED_SPECS = [
-    Identity(),
-    Square(),
+    OrdinalMap(ZERO),
+    OrdinalMap(ONE),
     OrdinalMap(Ordinal.from_int(2)),
     OrdinalMap(Ordinal.from_int(3)),
     OrdinalMap(OMEGA),
@@ -85,7 +83,7 @@ class TestMembership:
 
 class TestSynthesize:
     def test_values_follow_the_flow_for_square(self):
-        g = build_chain_graph(Square(), Grid(F(0), F(1), 64), constant_field(F(1, 32)))
+        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 64), constant_field(F(1, 32)))
         assignment = synthesize(condense(g))
         poset = chain_components(condense(g))
         bottom = poset.components[0].cells[0]
@@ -97,12 +95,12 @@ class TestSynthesize:
         assert assignment.cell_values[mid] < assignment.cell_values[top]
 
     def test_ranks_are_a_permutation(self):
-        g = build_chain_graph(Square(), Grid(F(0), F(1), 32), constant_field(F(1, 16)))
+        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 32), constant_field(F(1, 16)))
         assignment = synthesize(condense(g))
         assert sorted(assignment.ranks) == list(range(len(assignment.ranks)))
 
     def test_constant_on_components(self):
-        g = build_chain_graph(Identity(), Grid(F(0), F(1), 16), constant_field(F(1, 16)))
+        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 16), constant_field(F(1, 16)))
         assignment = synthesize(condense(g))
         assert len(set(assignment.cell_values)) == 1
 
@@ -117,7 +115,7 @@ class TestSynthesize:
 class TestVerifyCatchesViolations:
     def graph(self):
         return build_chain_graph(
-            Square(), Grid(F(0), F(1), 16), constant_field(F(1, 8))
+            OrdinalMap(ONE), Grid(F(0), F(1), 16), constant_field(F(1, 8))
         )
 
     def test_broken_constancy(self):
@@ -233,7 +231,7 @@ class TestVerifyCatchesViolations:
     def test_grid_mismatch_rejected(self):
         g = self.graph()
         other = build_chain_graph(
-            Square(), Grid(F(0), F(1), 8), constant_field(F(1, 8))
+            OrdinalMap(ONE), Grid(F(0), F(1), 8), constant_field(F(1, 8))
         )
         with pytest.raises(ValueError):
             verify(synthesize(condense(other)), g)

@@ -22,8 +22,6 @@ from chainposet.chaingraph import (
 )
 from chainposet.poset import (
     PosetError,
-    RefinementTrace,
-    TraceLevel,
     density_signature,
     dual,
     hasse_covers,
@@ -34,9 +32,9 @@ from chainposet.poset import (
     minimal_elements,
     order_isomorphic,
     to_dot,
-    trace_level,
 )
-from chainposet.systems import CantorExample, DenseBlocks, Square, Variant
+from chainposet.ordinal import ONE
+from chainposet.systems import CantorExample, DenseBlocks, OrdinalMap, Variant
 
 
 def hand_poset(m, pairs, spans=None):
@@ -49,8 +47,8 @@ def hand_poset(m, pairs, spans=None):
     return ComponentPoset(grid, comps, frozenset(pairs))
 
 
-def stub_level(poset):
-    return TraceLevel(poset.grid.n, None, constant_field(F(1, 16)), poset)
+def poset_at(spec, n):
+    return chain_components(condense(build_chain_graph(spec, grid_for(spec, n))))
 
 
 def closed(pairs):
@@ -211,37 +209,29 @@ class TestMatching:
 
 
 def dense_trace():
-    return RefinementTrace(
-        tuple(
-            trace_level(DenseBlocks(d, Variant.WITH_MAX), n)
-            for d, n in [(1, 1024), (2, 2048), (3, 4096)]
-        )
-    )
+    return [
+        poset_at(DenseBlocks(d, Variant.WITH_MAX), n)
+        for d, n in [(1, 1024), (2, 2048), (3, 4096)]
+    ]
 
 def cantor_trace():
-    return RefinementTrace(
-        tuple(
-            trace_level(CantorExample(d), n)
-            for d, n in [(1, 1024), (2, 2048), (3, 4096)]
-        )
-    )
+    return [poset_at(CantorExample(d), n) for d, n in [(1, 1024), (2, 2048), (3, 4096)]]
 
 
 class TestDensitySignature:
     def test_needs_two_levels(self):
-        lvl = trace_level(Square(), 64)
         with pytest.raises(PosetError):
-            density_signature(RefinementTrace((lvl,)))
+            density_signature([poset_at(OrdinalMap(ONE), 64)])
 
     def test_rejects_overlapping_spans(self):
         bad = hand_poset(2, [(0, 1)], spans=[(F(1, 10), F(5, 10)), (F(4, 10), F(8, 10))])
         with pytest.raises(PosetError):
-            density_signature(RefinementTrace((stub_level(bad), stub_level(bad))))
+            density_signature([bad, bad])
 
     def test_rejects_order_against_position(self):
         bad = hand_poset(2, [(1, 0)])
         with pytest.raises(PosetError):
-            density_signature(RefinementTrace((stub_level(bad), stub_level(bad))))
+            density_signature([bad, bad])
 
     def test_plateau_family_keeps_subdividing(self):
         sig = density_signature(dense_trace())

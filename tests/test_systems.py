@@ -27,22 +27,18 @@ from chainposet.systems import (
     CantorExample,
     Conjugated,
     DenseBlocks,
-    Identity,
     OrdinalMap,
-    Square,
     Variant,
     _block_index,
     _eval_index,
     cantor_gaps,
-    conjugate,
     dense_blocks,
-    domain_of,
     evaluate,
     image_intervals,
     is_increasing,
-    make_dense_blocks,
+    is_open,
     make_homeo,
-    make_ordinal_map,
+    predicted_label,
     predicted_representatives,
 )
 
@@ -58,31 +54,41 @@ def small_ordinal_maps() -> st.SearchStrategy:
 
 class TestMakers:
     def test_small_indices_collapse(self):
-        assert make_ordinal_map(ZERO) == Identity()
-        assert make_ordinal_map(ONE) == Square()
-        assert make_ordinal_map(OMEGA) == OrdinalMap(OMEGA)
+        # indices 0 and 1 predict what the identity and the square do: one
+        # fixed point at 0, then the two endpoints, at any cutoff
+        assert predicted_label(OrdinalMap(ZERO)) == "1"
+        assert predicted_label(OrdinalMap(ONE)) == "2"
+        assert predicted_label(OrdinalMap(OMEGA)) == "w+1"
+        for cutoff in [F(1, 2), F(1, 1024)]:
+            assert predicted_representatives(OrdinalMap(ZERO), cutoff) == (F(0),)
+            assert predicted_representatives(OrdinalMap(ONE), cutoff) == (F(0), F(1))
 
-    def test_index_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            OrdinalMap(ONE)
+    @given(unit_fractions)
+    def test_small_indices_are_x_and_x_squared(self, x):
+        assert evaluate(OrdinalMap(ZERO), x) == x
+        assert evaluate(OrdinalMap(ONE), x) == x * x
 
     def test_specs_are_hashable(self):
-        specs = {Identity(), Square(), OrdinalMap(OMEGA), CantorExample(2),
-                 DenseBlocks(1, Variant.NO_MAX), conjugate(Square(), SAMPLE_HOMEO)}
+        specs = {OrdinalMap(ZERO), OrdinalMap(ONE), OrdinalMap(OMEGA), CantorExample(2),
+                 DenseBlocks(1, Variant.NO_MAX), Conjugated(OrdinalMap(ONE), SAMPLE_HOMEO)}
         assert len(specs) == 6
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            evaluate(Square(), F(2))
+            evaluate(OrdinalMap(ONE), F(2))
         with pytest.raises(ValueError):
             evaluate(DenseBlocks(1, Variant.OPEN_INTERVAL), F(0))
-        assert not domain_of(DenseBlocks(1, Variant.OPEN_INTERVAL)).contains(F(1))
-        assert domain_of(CantorExample(1)).contains(F(1))
+        with pytest.raises(ValueError):
+            evaluate(DenseBlocks(1, Variant.OPEN_INTERVAL), F(1))
+        assert evaluate(CantorExample(1), F(1)) == F(1)
+        assert is_open(Conjugated(DenseBlocks(1, Variant.OPEN_INTERVAL), SAMPLE_HOMEO))
+        assert not is_open(CantorExample(1))
+        assert not is_open(DenseBlocks(1, Variant.NO_MAX))
 
 
 class TestOrdinalMapValues:
     def test_square_value(self):
-        assert evaluate(Square(), F(1, 2)) == F(1, 4)
+        assert evaluate(OrdinalMap(ONE), F(1, 2)) == F(1, 4)
 
     def test_first_successor(self):
         f2 = OrdinalMap(parse_ordinal("2"))
@@ -278,26 +284,26 @@ class TestHomeo:
 
 class TestConjugated:
     def test_transports_fixed_points(self):
-        g = conjugate(OrdinalMap(Ordinal.from_int(2)), SAMPLE_HOMEO)
+        g = Conjugated(OrdinalMap(Ordinal.from_int(2)), SAMPLE_HOMEO)
         for p in [F(0), F(1, 2), F(1)]:
             q = SAMPLE_HOMEO.apply(p)
             assert evaluate(g, q) == q
         assert evaluate(g, F(5, 8)) == F(5, 8)
 
     def test_matches_composition(self):
-        g = conjugate(Square(), SAMPLE_HOMEO)
+        g = Conjugated(OrdinalMap(ONE), SAMPLE_HOMEO)
         x = F(3, 4)
-        want = SAMPLE_HOMEO.apply(evaluate(Square(), SAMPLE_HOMEO.invert(x)))
+        want = SAMPLE_HOMEO.apply(evaluate(OrdinalMap(ONE), SAMPLE_HOMEO.invert(x)))
         assert evaluate(g, x) == want
 
     def test_increasing_flag_follows_inner(self):
-        assert is_increasing(conjugate(Square(), SAMPLE_HOMEO))
-        assert not is_increasing(conjugate(DenseBlocks(1), SAMPLE_HOMEO))
+        assert is_increasing(Conjugated(OrdinalMap(ONE), SAMPLE_HOMEO))
+        assert not is_increasing(Conjugated(DenseBlocks(1), SAMPLE_HOMEO))
 
 
 class TestImageIntervals:
     def test_increasing_single_interval(self):
-        assert image_intervals(Square(), F(1, 2), F(3, 4)) == ((F(1, 4), F(9, 16)),)
+        assert image_intervals(OrdinalMap(ONE), F(1, 2), F(3, 4)) == ((F(1, 4), F(9, 16)),)
 
     def test_plateau_points_with_floor(self):
         got = image_intervals(DenseBlocks(1, Variant.WITH_MAX), F(5, 16), F(7, 16))
@@ -316,7 +322,7 @@ class TestImageIntervals:
         )
 
     def test_conjugated_image_maps_through(self):
-        g = conjugate(DenseBlocks(1, Variant.WITH_MAX), SAMPLE_HOMEO)
+        g = Conjugated(DenseBlocks(1, Variant.WITH_MAX), SAMPLE_HOMEO)
         lo, hi = SAMPLE_HOMEO.apply(F(5, 16)), SAMPLE_HOMEO.apply(F(7, 16))
         got = image_intervals(g, lo, hi)
         assert got == ((F(0), F(0)), (SAMPLE_HOMEO.apply(F(3, 8)),) * 2)
@@ -324,7 +330,7 @@ class TestImageIntervals:
     @given(
         st.sampled_from(
             [
-                Square(),
+                OrdinalMap(ONE),
                 OrdinalMap(OMEGA),
                 CantorExample(2),
                 DenseBlocks(2, Variant.WITH_MAX),
@@ -425,18 +431,17 @@ W_W2 = parse_ordinal("w^(w^2)")
 
 @st.composite
 def indices_up_to_w_w2(draw) -> Ordinal:
-    """Normal forms from 2 up to w^(w^2): sums of w^(w*a+b)*c, plus w^(w^2)."""
+    """Normal forms from 0 up to w^(w^2): sums of w^(w*a+b)*c, plus w^(w^2)."""
     if draw(st.integers(0, 9)) == 0:
         return W_W2
     exps = draw(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3,
-                 unique=True)
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3, unique=True)
     )
     out = ZERO
     for a, b in sorted(exps, reverse=True):
         exp = add(omega_power(ONE, a), Ordinal.from_int(b))
         out = add(out, omega_power(exp, draw(st.integers(1, 3))))
-    return out if out >= Ordinal.from_int(2) else Ordinal.from_int(2)
+    return out
 
 
 unit_rationals = st.one_of(
