@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 
 from .chaingraph import (
     ChainGraph,
+    ChainGraphError,
     ComponentPoset,
     Condensation,
     EpsilonField,
@@ -111,6 +112,18 @@ def _components_section(cond: Condensation, poset: ComponentPoset) -> Dict:
     return out
 
 
+def _match_tolerance(graph: ChainGraph) -> Fraction:
+    """Representatives this close are the same component: eight max slacks."""
+    return 8 * graph.eps.bounds(graph.grid.lo, graph.grid.hi)[1]
+
+
+def _prediction(spec: SystemSpec, width: Fraction) -> Dict:
+    return {
+        "label": predicted_label(spec),
+        "representatives": [_fr(x) for x in predicted_representatives(spec, width)],
+    }
+
+
 def _conjugacy_level(
     config: AnalysisConfig,
     spec: SystemSpec,
@@ -126,7 +139,7 @@ def _conjugacy_level(
     )
     other_poset = chain_components(condense(other_graph))
     base, twin = (other_poset, poset) if conjugated else (poset, other_poset)
-    tol = 8 * graph.eps.bounds(graph.grid.lo, graph.grid.hi)[1]
+    tol = _match_tolerance(graph)
     aligned = len(base) == len(twin) and all(
         abs(h.apply(b.representative) - t.representative) <= tol
         for b, t in zip(base.components, twin.components)
@@ -164,12 +177,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         if depth is not None:
             entry["depth"] = depth
         entry["components"] = _components_section(cond, poset)
-        entry["predicted"] = {
-            "label": predicted_label(spec),
-            "representatives": [
-                _fr(x) for x in predicted_representatives(spec, graph.grid.width)
-            ],
-        }
+        entry["predicted"] = _prediction(spec, graph.grid.width)
         checks.append({"name": f"components@{n}", "passed": len(poset) >= 1})
 
         if "lyapunov" in config.tasks:
@@ -212,8 +220,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         tolerances: List[str] = []
         all_matched = True
         for (coarse, fine), coarse_graph in zip(zip(posets, posets[1:]), graphs):
-            lo, hi = coarse_graph.grid.lo, coarse_graph.grid.hi
-            tol = 8 * coarse_graph.eps.bounds(lo, hi)[1]
+            tol = _match_tolerance(coarse_graph)
             m = match_components(coarse, fine, tolerance=tol)
             matches.append(list(m))
             tolerances.append(_fr(tol))
@@ -267,14 +274,7 @@ def predict_report(config: AnalysisConfig) -> Dict:
     out: List[Dict] = []
     for level, n in enumerate(config.resolutions):
         spec = config.system.build(config.depth_at(level))
-        width = grid_for(spec, n).width
-        entry: Dict = {
-            "n": n,
-            "label": predicted_label(spec),
-            "representatives": [
-                _fr(x) for x in predicted_representatives(spec, width)
-            ],
-        }
+        entry: Dict = {"n": n, **_prediction(spec, grid_for(spec, n).width)}
         depth = getattr(spec, "depth", None)
         if depth is not None:
             entry["depth"] = depth
@@ -377,8 +377,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    try:
+        if args.command == "predict":
+            report = predict_report(config)
+        else:
+            artifacts = run_full(config, seedless=getattr(args, "seedless", False))
+            report = artifacts.report
+    except DescentBudgetError as e:
+        print(f"evaluation error: {e}", file=sys.stderr)
+        return 2
+    except ChainGraphError as e:
+        print(f"graph error: {e}", file=sys.stderr)
+        return 2
+
     if args.command == "predict":
-        report = predict_report(config)
         if args.json:
             _write_json(report, args.json, out)
         if args.json != "-":
@@ -386,13 +398,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 reps = " ".join(entry["representatives"])
                 print(f"n={entry['n']} label={entry['label']} representatives: {reps}", file=out)
         return 0
-
-    try:
-        artifacts = run_full(config, seedless=getattr(args, "seedless", False))
-    except DescentBudgetError as e:
-        print(f"evaluation error: {e}", file=sys.stderr)
-        return 2
-    report = artifacts.report
 
     if args.command == "dot":
         _write_dots(artifacts, args.output_dir, out)

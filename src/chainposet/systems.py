@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Tuple, Union
 
 from .ordinal import (
@@ -49,14 +50,8 @@ class DescentBudgetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntervalBlock:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("block must have positive width")
+# bisect keys over sorted (lo, hi) blocks and gaps
+_LO, _HI = itemgetter(0), itemgetter(1)
 
 
 class Variant(Enum):
@@ -265,13 +260,10 @@ def predicted_representatives(spec: SystemSpec, cutoff: Fraction) -> Tuple[Fract
     if isinstance(spec, OrdinalMap):
         return tuple(sorted(_rep_points(spec.index, 0, 1, cutoff)))
     if isinstance(spec, CantorExample):
-        pts = {Fraction(0), Fraction(1)}
-        for a, b in cantor_gaps(spec.depth):
-            pts.add(a)
-            pts.add(b)
-        return tuple(sorted(pts))
+        ends = (x for gap in cantor_gaps(spec.depth) for x in gap)
+        return (Fraction(0), *ends, Fraction(1))
     if isinstance(spec, DenseBlocks):
-        return tuple(b.lo for b in dense_blocks(spec.variant, spec.depth))
+        return tuple(lo for lo, _ in dense_blocks(spec.variant, spec.depth))
     if isinstance(spec, Conjugated):
         inner = predicted_representatives(spec.inner, cutoff)
         return tuple(sorted(spec.homeo.apply(x) for x in inner))
@@ -301,45 +293,36 @@ def predicted_label(spec: SystemSpec) -> str:
 # middle-half insertion families
 
 
-def _insert_middle_half(gaps) -> Tuple[IntervalBlock, ...]:
-    out = []
-    for u, v in gaps:
-        w = v - u
-        out.append(IntervalBlock(u + w / 4, v - w / 4))
-    return tuple(out)
+def _middle_half(u: Fraction, v: Fraction) -> Tuple[Fraction, Fraction]:
+    w = (v - u) / 4
+    return (u + w, v - w)
 
 
 @lru_cache(maxsize=None)
-def dense_blocks(variant: Variant, depth: int) -> Tuple[IntervalBlock, ...]:
-    """Plateau blocks at the given refinement depth, sorted and disjoint."""
+def dense_blocks(variant: Variant, depth: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """Plateau blocks (lo, hi) at the given refinement depth, sorted and disjoint."""
     if depth < 0 or depth > MAX_FAMILY_DEPTH:
         raise ValueError(f"depth must be in 0..{MAX_FAMILY_DEPTH}")
     if depth == 0:
         if variant is Variant.WITH_MAX:
-            return (
-                IntervalBlock(Fraction(0), Fraction(1, 4)),
-                IntervalBlock(Fraction(3, 4), Fraction(1)),
-            )
+            return ((Fraction(0), Fraction(1, 4)), (Fraction(3, 4), Fraction(1)))
         if variant is Variant.NO_MAX:
-            return (IntervalBlock(Fraction(0), Fraction(1, 4)),)
-        return (IntervalBlock(Fraction(3, 8), Fraction(5, 8)),)
+            return ((Fraction(0), Fraction(1, 4)),)
+        return ((Fraction(3, 8), Fraction(5, 8)),)
+    # each gap between neighbouring blocks gets its middle half as a new
+    # block, placed between the two, and so do the end gaps that no block
+    # closes: at 0 for the open interval, at 1 for both variants without a
+    # top block; the result is sorted by construction
     prev = dense_blocks(variant, depth - 1)
-    gaps = []
-    if variant is Variant.OPEN_INTERVAL and prev[0].lo > 0:
-        gaps.append((Fraction(0), prev[0].lo))
-    for a, b in zip(prev, prev[1:]):
-        gaps.append((a.hi, b.lo))
-    if variant in (Variant.NO_MAX, Variant.OPEN_INTERVAL) and prev[-1].hi < 1:
-        gaps.append((prev[-1].hi, Fraction(1)))
-    merged = sorted(prev + _insert_middle_half(gaps), key=lambda blk: blk.lo)
-    return tuple(merged)
-
-
-def _block_containing(blocks: Tuple[IntervalBlock, ...], x: Fraction):
-    k = bisect.bisect_right([b.lo for b in blocks], x) - 1
-    if k >= 0 and blocks[k].lo <= x <= blocks[k].hi:
-        return blocks[k]
-    return None
+    out = []
+    if variant is Variant.OPEN_INTERVAL:
+        out.append(_middle_half(Fraction(0), prev[0][0]))
+    for blk, nxt in zip(prev, prev[1:]):
+        out += (blk, _middle_half(blk[1], nxt[0]))
+    out.append(prev[-1])
+    if variant is not Variant.WITH_MAX:
+        out.append(_middle_half(prev[-1][1], Fraction(1)))
+    return tuple(out)
 
 
 def _step_value(x: Fraction) -> Fraction:
@@ -351,9 +334,9 @@ def _step_value(x: Fraction) -> Fraction:
 
 def _eval_dense(spec: DenseBlocks, x: Fraction) -> Fraction:
     blocks = dense_blocks(spec.variant, spec.depth)
-    blk = _block_containing(blocks, x)
-    if blk is not None:
-        return blk.lo
+    k = bisect.bisect_right(blocks, x, key=_LO) - 1
+    if k >= 0 and x <= blocks[k][1]:
+        return blocks[k][0]
     if spec.variant is Variant.OPEN_INTERVAL:
         return _step_value(x)
     return Fraction(0)
@@ -367,22 +350,26 @@ def cantor_gaps(depth: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Removed middle thirds through the given level, sorted left to right."""
     if depth < 1 or depth > MAX_FAMILY_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_FAMILY_DEPTH}")
-    keep = [(Fraction(0), Fraction(1))]
     gaps = []
-    for _ in range(depth):
-        nxt = []
-        for a, b in keep:
-            third = (b - a) / 3
-            gaps.append((a + third, b - third))
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        keep = nxt
-    return tuple(sorted(gaps))
+
+    def visit(a: Fraction, b: Fraction, level: int) -> None:
+        # the gaps of the left third, this gap, the gaps of the right third:
+        # left to right, so no sort is needed
+        third = (b - a) / 3
+        gap = (a + third, b - third)
+        if level > 1:
+            visit(a, gap[0], level - 1)
+        gaps.append(gap)
+        if level > 1:
+            visit(gap[1], b, level - 1)
+
+    visit(Fraction(0), Fraction(1), depth)
+    return tuple(gaps)
 
 
 def _eval_cantor(spec: CantorExample, x: Fraction) -> Fraction:
     gaps = cantor_gaps(spec.depth)
-    k = bisect.bisect_right([g[0] for g in gaps], x) - 1
+    k = bisect.bisect_right(gaps, x, key=_LO) - 1
     if k >= 0:
         l, r = gaps[k]
         if l < x < r:
@@ -413,52 +400,40 @@ def evaluate(spec: SystemSpec, x: Fraction) -> Fraction:
 def _dense_values_on(spec: DenseBlocks, lo: Fraction, hi: Fraction):
     """All values the plateau map attains on [lo, hi]."""
     blocks = dense_blocks(spec.variant, spec.depth)
-    lows = [b.lo for b in blocks]
-    first = bisect.bisect_left([b.hi for b in blocks], lo)
-    last = bisect.bisect_right(lows, hi) - 1
-    hit = blocks[first : last + 1]
-    values = {b.lo for b in hit}
-    covered = any(b.lo <= lo and hi <= b.hi for b in hit)
-    if covered:
-        return sorted(values)
+    first = bisect.bisect_left(blocks, lo, key=_HI)
+    hit = blocks[first : bisect.bisect_right(blocks, hi, key=_LO)]
+    lows = [b_lo for b_lo, _ in hit]
+    if any(b_lo <= lo and hi <= b_hi for b_lo, b_hi in hit):
+        return lows
     if spec.variant is not Variant.OPEN_INTERVAL:
-        values.add(Fraction(0))
-        return sorted(values)
-    # walk the uncovered pieces, tracking whether each end is attained
-    pieces = []
-    cur, cur_closed = lo, True
-    for b in hit:
-        if cur < b.lo:
-            pieces.append((cur, cur_closed, b.lo, False))
-        cur, cur_closed = b.hi, False
-        if cur >= hi:
-            break
-    else:
-        if cur < hi or (cur == hi and cur_closed):
-            pieces.append((cur, cur_closed, hi, True))
-    for a, a_closed, b, b_closed in pieces:
-        values.update(_step_values_on(a, a_closed, b, b_closed))
+        # 0 off the blocks, below every block value; a block at 0 has it already
+        return lows if lows and lows[0] == 0 else [Fraction(0), *lows]
+    values = set(lows)
+    # the uncovered pieces: open at every block end, closed at lo and hi
+    cur = lo
+    for b_lo, b_hi in hit:
+        if cur < b_lo:
+            values |= _step_values_on(cur, b_lo, False)
+        cur = b_hi
+    if cur < hi or not hit:
+        values |= _step_values_on(cur, hi, True)
     return sorted(values)
 
 
-def _step_values_on(a: Fraction, a_closed: bool, b: Fraction, b_closed: bool):
-    """Plateau-floor values attained on a sub-(0,1) interval piece."""
-    out = set()
-    k_min = max(1, math.ceil((1 - b) / b))
-    k_max = math.ceil(1 / a) - 1
-    for k in range(k_min, k_max + 1):
-        step_lo, step_hi = Fraction(1, k + 1), Fraction(1, k)
-        left = max(a, step_lo)
-        right = min(b, step_hi)
-        if left > right:
-            continue
-        if left == right:
-            inside_step = left < step_hi
-            inside_piece = (left > a or a_closed) and (left < b or b_closed)
-            if not (inside_step and inside_piece):
-                continue
-        out.add(Fraction(1, k + 2))
-    return out
+def _step_values_on(a: Fraction, b: Fraction, b_closed: bool) -> set:
+    """Plateau-floor values attained on a piece of (0, 1) from a to b.
+
+    Step k is [1/(k+1), 1/k) with value 1/(k+2).  The piece meets it when
+    a < 1/k, and 1/(k+1) <= b (closed b) or 1/(k+1) < b (open b).  Whether
+    a is attained never matters: a step holding a also holds the points just
+    above it, and a < b unless the piece is the single closed point a = b.
+    """
+    # with 1/b = q/p: k >= ceil(1/b) - 1 for a closed b, k >= floor(1/b) for
+    # an open one, and k < ceil(1/a)
+    p, q = b.numerator, b.denominator
+    k_lo = -(-q // p) - 1 if b_closed else q // p
+    k_end = -(-a.denominator // a.numerator)
+    return {Fraction(1, k + 2) for k in range(max(1, k_lo), k_end)}
 
 
 def image_intervals(

@@ -158,7 +158,7 @@ def test_04_dense_blocks_exactness():
     graph = build_chain_graph(spec, grid_for(spec, 4096), constant_field(F(1, 2048)))
     poset = chain_components(condense(graph))
     elapsed = time.monotonic() - t0
-    lefts = [block.lo for block in dense_blocks(Variant.WITH_MAX, 3)]
+    lefts = [lo for lo, _ in dense_blocks(Variant.WITH_MAX, 3)]
     assert len(poset) == 9 and len(lefts) == 9
     for comp, left in zip(poset.components, lefts):
         assert abs(comp.representative - left) <= graph.grid.width

@@ -422,6 +422,27 @@ class TestMain:
         assert err.startswith("evaluation error:")
         assert "w^(w^2)" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # more cells than MAX_CELLS: the grid is refused
+            "system = ordinal\nlambda = 1\nresolutions = [2000000]\n",
+            # slack 1 joins every cell to every other: the edge budget runs out
+            "system = ordinal\nlambda = 0\nresolutions = [16384]\neps = 1\n",
+        ],
+    )
+    def test_graph_error_exit_code(self, tmp_path, capsys, text):
+        cfg = self._write(tmp_path, text)
+        assert main(["analyze", cfg, "--seedless"]) == 2
+        assert capsys.readouterr().err.startswith("graph error:")
+        assert main(["dot", cfg, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("graph error:")
+
+    def test_predict_graph_error_exit_code(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "system = ordinal\nlambda = 1\nresolutions = [2000000]\n")
+        assert main(["predict", cfg]) == 2
+        assert capsys.readouterr().err.startswith("graph error: cell count")
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.cfg")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ insertions, middle-third dips) and pin the implementation down exactly.
 """
 
 import bisect
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from chainposet.systems import (
     Variant,
     _block_index,
     _eval_index,
+    _step_values_on,
     cantor_gaps,
     dense_blocks,
     evaluate,
@@ -188,14 +190,14 @@ class TestCantorExample:
 
 class TestDenseBlocks:
     def test_with_max_depth_one(self):
-        assert [(b.lo, b.hi) for b in dense_blocks(Variant.WITH_MAX, 1)] == [
+        assert list(dense_blocks(Variant.WITH_MAX, 1)) == [
             (F(0), F(1, 4)),
             (F(3, 8), F(5, 8)),
             (F(3, 4), F(1)),
         ]
 
     def test_with_max_depth_two_insertions(self):
-        pairs = [(b.lo, b.hi) for b in dense_blocks(Variant.WITH_MAX, 2)]
+        pairs = list(dense_blocks(Variant.WITH_MAX, 2))
         assert (F(9, 32), F(11, 32)) in pairs
         assert (F(21, 32), F(23, 32)) in pairs
 
@@ -206,16 +208,16 @@ class TestDenseBlocks:
             assert len(dense_blocks(Variant.OPEN_INTERVAL, d)) == 2 ** (d + 1) - 1
 
     def test_no_max_depth_one(self):
-        assert [(b.lo, b.hi) for b in dense_blocks(Variant.NO_MAX, 1)] == [
+        assert list(dense_blocks(Variant.NO_MAX, 1)) == [
             (F(0), F(1, 4)),
             (F(7, 16), F(13, 16)),
         ]
 
     def test_open_interval_base(self):
-        assert [(b.lo, b.hi) for b in dense_blocks(Variant.OPEN_INTERVAL, 0)] == [
+        assert list(dense_blocks(Variant.OPEN_INTERVAL, 0)) == [
             (F(3, 8), F(5, 8))
         ]
-        pairs = [(b.lo, b.hi) for b in dense_blocks(Variant.OPEN_INTERVAL, 1)]
+        pairs = list(dense_blocks(Variant.OPEN_INTERVAL, 1))
         assert pairs == [
             (F(3, 32), F(9, 32)),
             (F(3, 8), F(5, 8)),
@@ -225,14 +227,16 @@ class TestDenseBlocks:
     def test_with_max_uncovered_measure(self):
         for d in range(5):
             blocks = dense_blocks(Variant.WITH_MAX, d)
-            covered = sum(b.hi - b.lo for b in blocks)
+            covered = sum(hi - lo for lo, hi in blocks)
             assert 1 - covered == F(1, 2 ** (d + 1))
 
     @given(st.sampled_from(list(Variant)), st.integers(0, 6))
     def test_blocks_sorted_disjoint_and_nested(self, variant, depth):
         blocks = dense_blocks(variant, depth)
-        for a, b in zip(blocks, blocks[1:]):
-            assert a.hi < b.lo
+        for lo, hi in blocks:
+            assert lo < hi
+        for (_, a_hi), (b_lo, _) in zip(blocks, blocks[1:]):
+            assert a_hi < b_lo
         assert set(blocks) <= set(dense_blocks(variant, depth + 1))
 
     def test_plateau_value_is_block_left(self):
@@ -451,6 +455,48 @@ unit_rationals = st.one_of(
 )
 
 
+# The per-step loop that the closed form in _step_values_on replaced,
+# verbatim; it reads a_closed, which the closed form shows never matters.
+def reference_step_values_on(a: F, a_closed: bool, b: F, b_closed: bool):
+    """Plateau-floor values attained on a sub-(0,1) interval piece."""
+    out = set()
+    k_min = max(1, math.ceil((1 - b) / b))
+    k_max = math.ceil(1 / a) - 1
+    for k in range(k_min, k_max + 1):
+        step_lo, step_hi = F(1, k + 1), F(1, k)
+        left = max(a, step_lo)
+        right = min(b, step_hi)
+        if left > right:
+            continue
+        if left == right:
+            inside_step = left < step_hi
+            inside_piece = (left > a or a_closed) and (left < b or b_closed)
+            if not (inside_step and inside_piece):
+                continue
+        out.add(F(1, k + 2))
+    return out
+
+
+# piece ends: step boundaries, block ends, and rationals in between
+piece_ends = st.one_of(
+    st.integers(2, 300).map(lambda k: F(1, k)),
+    st.sampled_from(sorted({
+        x for v in Variant for d in range(5) for blk in dense_blocks(v, d) for x in blk
+        if 0 < x < 1
+    })),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda t: 0 < t < 1),
+)
+
+
+@st.composite
+def step_pieces(draw):
+    a, b = sorted((draw(piece_ends), draw(piece_ends)))
+    # a single point is a piece only when it is attained
+    if a == b:
+        return a, True, b, True
+    return a, draw(st.booleans()), b, draw(st.booleans())
+
+
 @st.composite
 def pl_homeos(draw):
     inner = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
@@ -485,3 +531,10 @@ class TestAgainstFractionReference:
         cutoff = F(1, m)
         want = tuple(sorted(reference_rep_points(index, F(0), F(1), cutoff)))
         assert predicted_representatives(OrdinalMap(index), cutoff) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(step_pieces())
+    def test_step_values_match(self, piece):
+        a, a_closed, b, b_closed = piece
+        want = reference_step_values_on(a, a_closed, b, b_closed)
+        assert _step_values_on(a, b, b_closed) == want
