@@ -15,18 +15,17 @@ from .chaingraph import (
     ChainGraphError,
     ComponentPoset,
     Condensation,
+    ConstantField,
     EpsilonField,
     build_chain_graph,
     chain_components,
     condense,
-    constant_field,
     grid_for,
     dump_adjacency,
-    piecewise_field,
     reaches_recurrent,
     recurrent_cells,
 )
-from .config import AnalysisConfig, ConfigError, EpsSpec, SystemParams, load_config
+from .config import AnalysisConfig, ConfigError, load_config
 from .lyapunov import synthesize, verify
 from .ordinal import format_ordinal
 from .poset import (
@@ -42,9 +41,10 @@ from .poset import (
 )
 from .systems import (
     Conjugated,
+    DenseBlocks,
     DescentBudgetError,
+    OrdinalMap,
     SystemSpec,
-    make_homeo,
     predicted_label,
     predicted_representatives,
 )
@@ -57,34 +57,36 @@ def _fr(x: Fraction) -> str:
 # analysis driver
 
 
-def _field_for(eps: EpsSpec) -> Optional[EpsilonField]:
-    if eps == "auto":
-        return None
-    if isinstance(eps, Fraction):
-        return constant_field(eps)
-    return piecewise_field(eps)
+def _pairs_echo(points) -> List[List[str]]:
+    return [[_fr(a), _fr(b)] for a, b in points]
 
 
-def _eps_echo(eps: EpsSpec):
-    if eps == "auto":
+def _eps_echo(eps: Optional[EpsilonField]):
+    if eps is None:
         return "auto"
-    if isinstance(eps, Fraction):
-        return _fr(eps)
-    return [[_fr(a), _fr(b)] for a, b in eps]
+    if isinstance(eps, ConstantField):
+        return _fr(eps.eps)
+    return _pairs_echo(eps.points)
 
 
-def _params_echo(p: SystemParams) -> Dict:
-    out: Dict = {"kind": p.kind}
-    if p.lam is not None:
-        out["lambda"] = format_ordinal(p.lam)
-    if p.depth is not None:
-        out["depth"] = p.depth
-    if p.kind == "dense_blocks":
-        out["variant"] = p.variant.value
-    if p.inner is not None:
-        out["inner"] = _params_echo(p.inner)
-    if p.homeo is not None:
-        out["homeo"] = [[_fr(a), _fr(b)] for a, b in p.homeo]
+def _spec_echo(spec: SystemSpec, with_depth: bool) -> Dict:
+    if isinstance(spec, Conjugated):
+        return {"kind": "conjugated", "inner": _spec_echo(spec.inner, with_depth)}
+    if isinstance(spec, OrdinalMap):
+        return {"kind": "ordinal", "lambda": format_ordinal(spec.index)}
+    out: Dict = {"kind": "cantor"}
+    if isinstance(spec, DenseBlocks):
+        out = {"kind": "dense_blocks", "variant": spec.variant.value}
+    if with_depth:
+        out["depth"] = spec.depth
+    return out
+
+
+def _system_echo(config: AnalysisConfig) -> Dict:
+    """The configured system: the depth only when one holds at every level."""
+    out = _spec_echo(config.specs[0], config.depths is None)
+    if config.homeo is not None:
+        out["homeo"] = _pairs_echo(config.homeo.points)
     return out
 
 
@@ -130,12 +132,12 @@ def _conjugacy_level(
     graph: ChainGraph,
     poset: ComponentPoset,
 ) -> Dict:
-    assert config.system.homeo is not None
-    h = make_homeo(config.system.homeo)
+    h = config.homeo
+    assert h is not None
     conjugated = isinstance(spec, Conjugated)
     other_spec: SystemSpec = spec.inner if conjugated else Conjugated(spec, h)
     other_graph = build_chain_graph(
-        other_spec, grid_for(other_spec, graph.grid.n), _field_for(config.eps)
+        other_spec, grid_for(other_spec, graph.grid.n), config.eps
     )
     other_poset = chain_components(condense(other_graph))
     base, twin = (other_poset, poset) if conjugated else (poset, other_poset)
@@ -162,9 +164,8 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
     posets: List[ComponentPoset] = []
     levels: List[Dict] = []
 
-    for level, n in enumerate(config.resolutions):
-        spec = config.system.build(config.depth_at(level))
-        graph = build_chain_graph(spec, grid_for(spec, n), _field_for(config.eps))
+    for n, spec in zip(config.resolutions, config.specs):
+        graph = build_chain_graph(spec, grid_for(spec, n), config.eps)
         cond = condense(graph)
         poset = chain_components(cond)
         graphs.append(graph)
@@ -209,7 +210,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
 
     report: Dict = {
         "schema": "chainposet-report-v2",
-        "system": _params_echo(config.system),
+        "system": _system_echo(config),
         "eps": _eps_echo(config.eps),
         "tasks": list(config.tasks),
         "levels": levels,
@@ -272,8 +273,7 @@ def render_json(report: Dict) -> str:
 def predict_report(config: AnalysisConfig) -> Dict:
     """Model predictions per configured resolution, no graphs built."""
     out: List[Dict] = []
-    for level, n in enumerate(config.resolutions):
-        spec = config.system.build(config.depth_at(level))
+    for n, spec in zip(config.resolutions, config.specs):
         entry: Dict = {"n": n, **_prediction(spec, grid_for(spec, n).width)}
         depth = getattr(spec, "depth", None)
         if depth is not None:
@@ -390,30 +390,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"graph error: {e}", file=sys.stderr)
         return 2
 
-    if args.command == "predict":
+    try:
+        if args.command == "predict":
+            if args.json:
+                _write_json(report, args.json, out)
+            if args.json != "-":
+                for entry in report["levels"]:
+                    reps = " ".join(entry["representatives"])
+                    print(f"n={entry['n']} label={entry['label']} representatives: {reps}", file=out)
+            return 0
+        if args.command == "dot":
+            _write_dots(artifacts, args.output_dir, out)
+            return exit_status(report)
+        if args.dump_graph:
+            directory = Path(args.dump_graph)
+            directory.mkdir(parents=True, exist_ok=True)
+            for graph in artifacts.graphs:
+                path = directory / f"graph_n{graph.grid.n}.txt"
+                path.write_text(dump_adjacency(graph), encoding="utf-8")
+                print(f"wrote {path}", file=out)
+        if args.dot:
+            _write_dots(artifacts, args.dot, out)
         if args.json:
             _write_json(report, args.json, out)
-        if args.json != "-":
-            for entry in report["levels"]:
-                reps = " ".join(entry["representatives"])
-                print(f"n={entry['n']} label={entry['label']} representatives: {reps}", file=out)
-        return 0
-
-    if args.command == "dot":
-        _write_dots(artifacts, args.output_dir, out)
-        return exit_status(report)
-
-    if args.dump_graph:
-        directory = Path(args.dump_graph)
-        directory.mkdir(parents=True, exist_ok=True)
-        for graph in artifacts.graphs:
-            path = directory / f"graph_n{graph.grid.n}.txt"
-            path.write_text(dump_adjacency(graph), encoding="utf-8")
-            print(f"wrote {path}", file=out)
-    if args.dot:
-        _write_dots(artifacts, args.dot, out)
-    if args.json:
-        _write_json(report, args.json, out)
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 2
     if args.json != "-":
         _print_summary(report, out)
     return exit_status(report)

@@ -7,15 +7,16 @@ parentheses: `homeo = [(0,0), (1/3,1/2), (1,1)]`.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .chaingraph import piecewise_field
+from .chaingraph import EpsilonField, constant_field, piecewise_field
 from .ordinal import Ordinal, OrdinalSyntaxError, parse_ordinal
 from .systems import (
     CantorExample,
     Conjugated,
     DenseBlocks,
     OrdinalMap,
+    PLHomeo,
     SystemSpec,
     Variant,
     make_homeo,
@@ -42,7 +43,6 @@ _KEYS = frozenset(
 )
 
 Pairs = Tuple[Tuple[Fraction, Fraction], ...]
-EpsSpec = Union[str, Fraction, Pairs]
 
 
 class ConfigError(ValueError):
@@ -56,42 +56,15 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SystemParams:
-    """What to build, before a grid resolution is chosen."""
-
-    kind: str
-    lam: Optional[Ordinal] = None
-    depth: Optional[int] = None
-    variant: Variant = Variant.WITH_MAX
-    inner: Optional["SystemParams"] = None
-    homeo: Optional[Pairs] = None
-
-    def build(self, depth: Optional[int] = None) -> SystemSpec:
-        """Instantiate the system, optionally overriding the family depth."""
-        if self.kind == "conjugated":
-            assert self.inner is not None and self.homeo is not None
-            return Conjugated(self.inner.build(depth), make_homeo(self.homeo))
-        if self.kind == "ordinal":
-            assert self.lam is not None
-            return OrdinalMap(self.lam)
-        d = depth if depth is not None else self.depth
-        if d is None:
-            raise ValueError("no depth configured for this system")
-        if self.kind == "cantor":
-            return CantorExample(d)
-        return DenseBlocks(d, self.variant)
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
-    system: SystemParams
+    """A parsed config: one spec per resolution, ready to run."""
+
+    specs: Tuple[SystemSpec, ...]
     resolutions: Tuple[int, ...]
     depths: Optional[Tuple[int, ...]] = None
-    eps: EpsSpec = "auto"
+    homeo: Optional[PLHomeo] = None
+    eps: Optional[EpsilonField] = None  # None: twice the cell width
     tasks: Tuple[str, ...] = ("components",)
-
-    def depth_at(self, level: int) -> Optional[int]:
-        return self.depths[level] if self.depths is not None else None
 
 
 def _split_top(text: str) -> List[str]:
@@ -156,7 +129,12 @@ def _take(raw: _Raw, key: str) -> Optional[Tuple[str, int]]:
     return raw.pop(key, None)
 
 
-def _system_params(raw: _Raw) -> SystemParams:
+_Builder = Callable[[Optional[int]], SystemSpec]
+
+
+def _system(raw: _Raw) -> Tuple[str, Optional[int], _Builder, Optional[PLHomeo]]:
+    """Parse the system keys: the family, its `depth` key, a builder from
+    family depth to spec, and the homeomorphism."""
     got = _take(raw, "system")
     if got is None:
         raise ConfigError("missing required key 'system'")
@@ -213,26 +191,34 @@ def _system_params(raw: _Raw) -> SystemParams:
     elif "variant" in raw:
         raise ConfigError("'variant' only applies to dense_blocks", raw["variant"][1])
 
-    homeo: Optional[Pairs] = None
+    homeo: Optional[PLHomeo] = None
     got = _take(raw, "homeo")
     if got is not None:
         text, line = got
-        homeo = _pair_list(text, line)
+        points = _pair_list(text, line)
         try:
-            make_homeo(homeo)
+            homeo = make_homeo(points)
         except ValueError as e:
             raise ConfigError(f"bad homeomorphism: {e}", line) from None
     if kind == "conjugated" and homeo is None:
         raise ConfigError("system 'conjugated' needs a 'homeo' key", kind_line)
 
-    params = SystemParams(effective, lam, depth, variant)
-    if kind == "conjugated":
-        return SystemParams(kind, inner=params, homeo=homeo)
-    return SystemParams(kind, lam, depth, variant, homeo=homeo)
+    def build(d: Optional[int]) -> SystemSpec:
+        if effective == "ordinal":
+            spec: SystemSpec = OrdinalMap(lam)
+        elif d is None:
+            raise ValueError("no depth configured for this system")
+        elif effective == "cantor":
+            spec = CantorExample(d)
+        else:
+            spec = DenseBlocks(d, variant)
+        return Conjugated(spec, homeo) if kind == "conjugated" else spec
+
+    return effective, depth, build, homeo
 
 
 def _assemble(raw: _Raw) -> AnalysisConfig:
-    params = _system_params(raw)
+    effective, depth, build, homeo = _system(raw)
 
     got = _take(raw, "resolutions")
     if got is None:
@@ -248,30 +234,29 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
     got = _take(raw, "depths")
     if got is not None:
         text, line = got
-        effective = params.inner.kind if params.inner is not None else params.kind
         if effective not in ("cantor", "dense_blocks"):
             raise ConfigError("'depths' only applies to block families", line)
+        if depth is not None:
+            raise ConfigError("'depth' and 'depths' exclude each other", line)
         depths = tuple(_integer(item, line) for item in _list_items(text, line))
         if len(depths) != len(resolutions):
             raise ConfigError("'depths' must align with 'resolutions'", line)
 
-    eps: EpsSpec = "auto"
+    eps: Optional[EpsilonField] = None
     got = _take(raw, "eps")
     if got is not None:
         text, line = got
-        if text == "auto":
-            eps = "auto"
-        elif text.startswith("["):
+        if text.startswith("["):
             points = _pair_list(text, line)
             try:
-                piecewise_field(points)
+                eps = piecewise_field(points)
             except ValueError as e:
                 raise ConfigError(f"bad eps field: {e}", line) from None
-            eps = points
-        else:
-            eps = _rational(text, line)
-            if eps <= 0:
+        elif text != "auto":
+            value = _rational(text, line)
+            if value <= 0:
                 raise ConfigError("eps must be positive", line)
+            eps = constant_field(value)
 
     tasks: Tuple[str, ...] = ("components",)
     got = _take(raw, "tasks")
@@ -287,7 +272,7 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
             raise ConfigError("duplicate task", line)
         if ("refine" in tasks or "signature" in tasks) and len(resolutions) < 2:
             raise ConfigError("refine and signature need at least two resolutions", line)
-        if "conjugacy" in tasks and params.homeo is None:
+        if "conjugacy" in tasks and homeo is None:
             raise ConfigError("the conjugacy task needs a 'homeo' key", line)
 
     # ignored since descent stopped sampling; kept because the benchmark tests write it
@@ -298,13 +283,11 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
     for key, (_, line) in raw.items():
         raise ConfigError(f"key {key!r} does not apply here", line)
 
-    config = AnalysisConfig(params, resolutions, depths, eps, tasks)
-    for level in range(len(resolutions)):
-        try:
-            params.build(config.depth_at(level))
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-    return config
+    try:
+        specs = tuple(build(d) for d in depths or (depth,) * len(resolutions))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return AnalysisConfig(specs, resolutions, depths, homeo, eps, tasks)
 
 
 def parse_config(text: str) -> AnalysisConfig:

@@ -174,16 +174,14 @@ def fundamental(lam: Ordinal, j: int) -> Ordinal:
     """j-th approximant of an additively indecomposable limit lam = w^g, g >= 1.
 
     Uses the standard rule w^(g'+1)[j] = w^g' * j and w^g[j] = w^(g[j]) for
-    limit g.  Approximants increase strictly in j with supremum lam; a zero
-    result is clamped to 1, which leaves the supremum unchanged.
+    limit g.  Approximants increase strictly in j with supremum lam.
     """
     if j < 1:
         raise ValueError("approximant index must be >= 1")
     kind, _ = classify(lam)
     if kind != OrdinalKind.LIMIT or len(lam.terms) != 1 or lam.terms[0][1] != 1:
         raise ValueError("fundamental requires w^g with g >= 1")
-    out = _limit_step(lam, j)
-    return ONE if out.is_zero() else out
+    return _limit_step(lam, j)
 
 
 class OrdinalSyntaxError(ValueError):

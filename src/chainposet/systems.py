@@ -266,7 +266,7 @@ def predicted_representatives(spec: SystemSpec, cutoff: Fraction) -> Tuple[Fract
         return tuple(lo for lo, _ in dense_blocks(spec.variant, spec.depth))
     if isinstance(spec, Conjugated):
         inner = predicted_representatives(spec.inner, cutoff)
-        return tuple(sorted(spec.homeo.apply(x) for x in inner))
+        return tuple(spec.homeo.apply(x) for x in inner)
     raise ValueError(f"no prediction for {type(spec).__name__}")
 
 

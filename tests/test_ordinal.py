@@ -227,6 +227,13 @@ class TestFundamental:
         lam = omega_power(g)
         assert add(fundamental(lam, i), fundamental(lam, j)) < lam
 
+    @given(general_ordinals(2), st.integers(1, 49))
+    def test_never_zero(self, g, j):
+        # w^(g'+1)[j] = w^g' * j and w^g[j] = w^(g[j]) are both at least 1
+        if g.is_zero():
+            return
+        assert ONE <= fundamental(omega_power(g), j)
+
 
 class TestText:
     def test_parse_examples(self):
