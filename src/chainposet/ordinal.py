@@ -102,6 +102,18 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     return 0
 
 
+def _nf(terms: Tuple[Tuple[Ordinal, int], ...]) -> Ordinal:
+    """Ordinal from terms already in normal form, skipping the checks.
+
+    Arithmetic on valid forms only yields valid forms, so results are built
+    here; the public constructors (Ordinal, from_int, omega_power and
+    parse_ordinal) still check what they are given.
+    """
+    a = object.__new__(Ordinal)
+    object.__setattr__(a, "terms", terms)
+    return a
+
+
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum a + b; terms of a below b's leading exponent are absorbed."""
     if b.is_zero():
@@ -116,24 +128,27 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
             kept.append((exp, coef))
         elif c == 0:
             kept.append((exp, coef + lead_coef))
-            return Ordinal(tuple(kept) + b.terms[1:])
+            return _nf(tuple(kept) + b.terms[1:])
         else:
             break
-    return Ordinal(tuple(kept) + b.terms)
+    return _nf(tuple(kept) + b.terms)
+
+
+def _drop_one(terms: Tuple[Tuple[Ordinal, int], ...]) -> Ordinal:
+    """The form minus one copy of its last term."""
+    last_exp, last_coef = terms[-1]
+    if last_coef == 1:
+        return _nf(terms[:-1])
+    return _nf(terms[:-1] + ((last_exp, last_coef - 1),))
 
 
 def classify(a: Ordinal) -> Tuple[OrdinalKind, Optional[Ordinal]]:
     """Zero, successor (with predecessor) or limit."""
     if a.is_zero():
         return OrdinalKind.ZERO, None
-    last_exp, last_coef = a.terms[-1]
-    if not last_exp.is_zero():
+    if not a.terms[-1][0].is_zero():
         return OrdinalKind.LIMIT, None
-    if last_coef == 1:
-        pred = Ordinal(a.terms[:-1])
-    else:
-        pred = Ordinal(a.terms[:-1] + ((ZERO, last_coef - 1),))
-    return OrdinalKind.SUCCESSOR, pred
+    return OrdinalKind.SUCCESSOR, _drop_one(a.terms)
 
 
 def tail_split(lam: Ordinal) -> Tuple[Ordinal, Ordinal]:
@@ -148,26 +163,19 @@ def tail_split(lam: Ordinal) -> Tuple[Ordinal, Ordinal]:
         raise ValueError("tail_split requires a limit ordinal")
     last_exp, last_coef = lam.terms[-1]
     if len(lam.terms) == 1 and last_coef == 1:
-        alpha = ONE
-    elif last_coef == 1:
-        alpha = Ordinal(lam.terms[:-1])
-    else:
-        alpha = Ordinal(lam.terms[:-1] + ((last_exp, last_coef - 1),))
-    return alpha, last_exp
+        return ONE, last_exp
+    return _drop_one(lam.terms), last_exp
 
 
 def _limit_step(mu: Ordinal, j: int) -> Ordinal:
     """j-th member of the standard fundamental sequence of a limit ordinal."""
-    last_exp, last_coef = mu.terms[-1]
-    if last_coef > 1:
-        head = Ordinal(mu.terms[:-1] + ((last_exp, last_coef - 1),))
-    else:
-        head = Ordinal(mu.terms[:-1])
+    head = _drop_one(mu.terms)
+    last_exp = mu.terms[-1][0]
     kind, pred = classify(last_exp)
     if kind == OrdinalKind.SUCCESSOR:
-        return add(head, omega_power(pred, j) if j > 0 else ZERO)
+        return add(head, _nf(((pred, j),)) if j > 0 else ZERO)
     # limit exponent: descend into it
-    return add(head, omega_power(_limit_step(last_exp, j)))
+    return add(head, _nf(((_limit_step(last_exp, j), 1),)))
 
 
 def fundamental(lam: Ordinal, j: int) -> Ordinal:

@@ -32,11 +32,11 @@ from .ordinal import (
     ZERO,
     Ordinal,
     OrdinalKind,
+    _nf,
     add,
     classify,
     format_ordinal,
     fundamental,
-    omega_power,
     tail_split,
 )
 
@@ -189,23 +189,32 @@ def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
     start = index
     p, q = x.numerator, x.denominator
     s, c = 0, 1
-    for _ in range(MAX_DESCENT_STEPS):
+    steps = 0
+    while steps < MAX_DESCENT_STEPS:
         if p == 0:
             return Fraction(s, c)
         if p == q:
             return Fraction(s + 1, c)
-        if index == ZERO:
+        terms = index.terms
+        if not terms:
+            # index 0: x
             return Fraction(s * q + p, c * q)
-        if index == ONE:
-            return Fraction(s * q * q + p * p, c * q * q)
-        kind, pred = classify(index)
-        if kind == OrdinalKind.SUCCESSOR:
+        exp, m = terms[-1]
+        if not exp.terms:
+            if len(terms) == 1 and m == 1:
+                # index 1: x^2
+                return Fraction(s * q * q + p * p, c * q * q)
             if 2 * p > q:
                 # inner = x^2 - x/2 + 1/2
                 qq = q * q
                 return Fraction(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
-            p, s, c = 2 * p, 2 * s, 2 * c
-            index = pred
+            # a run of t successor halvings at once, each one step: it ends
+            # where x passes 1/2, or where the finite tail m runs out (at 1
+            # when the whole index is m, since index 1 is the square)
+            t = min((q // p).bit_length() - 1, m - 1 if len(terms) == 1 else m)
+            p, s, c = p << t, s << t, c << t
+            index = _nf(terms[:-1] if t == m else terms[:-1] + ((ZERO, m - t),))
+            steps += t
             continue
         # block n is [n/(n+1), (n+1)/(n+2)], rescaled onto [0, 1]
         head, tail_exp = tail_split(index)
@@ -215,6 +224,7 @@ def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
         c *= block
         p = ((n + 1) * p - n * q) * (n + 2)
         index = _block_index(head, tail_exp, n)
+        steps += 1
     raise DescentBudgetError(
         f"evaluating the index-{format_ordinal(start)} map at {x} took more than "
         f"{MAX_DESCENT_STEPS} descent steps"
@@ -223,7 +233,7 @@ def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
 
 def _block_index(head: Ordinal, tail_exp: Ordinal, n: int) -> Ordinal:
     """Index of the map on the n-th shrinking block of a limit step."""
-    return head if n == 0 else add(head, fundamental(omega_power(tail_exp), n))
+    return head if n == 0 else add(head, fundamental(_nf(((tail_exp, 1),)), n))
 
 
 def _rep_points(lam: Ordinal, s: int, c: int, cutoff: Fraction) -> set:
@@ -293,9 +303,9 @@ def predicted_label(spec: SystemSpec) -> str:
 # middle-half insertion families
 
 
-def _middle_half(u: Fraction, v: Fraction) -> Tuple[Fraction, Fraction]:
-    w = (v - u) / 4
-    return (u + w, v - w)
+def _middle_half(u: int, v: int) -> Tuple[int, int]:
+    w = (v - u) // 4
+    return u + w, v - w
 
 
 @lru_cache(maxsize=None)
@@ -303,26 +313,35 @@ def dense_blocks(variant: Variant, depth: int) -> Tuple[Tuple[Fraction, Fraction
     """Plateau blocks (lo, hi) at the given refinement depth, sorted and disjoint."""
     if depth < 0 or depth > MAX_FAMILY_DEPTH:
         raise ValueError(f"depth must be in 0..{MAX_FAMILY_DEPTH}")
-    if depth == 0:
-        if variant is Variant.WITH_MAX:
-            return ((Fraction(0), Fraction(1, 4)), (Fraction(3, 4), Fraction(1)))
-        if variant is Variant.NO_MAX:
-            return ((Fraction(0), Fraction(1, 4)),)
-        return ((Fraction(3, 8), Fraction(5, 8)),)
-    # each gap between neighbouring blocks gets its middle half as a new
-    # block, placed between the two, and so do the end gaps that no block
-    # closes: at 0 for the open interval, at 1 for both variants without a
-    # top block; the result is sorted by construction
-    prev = dense_blocks(variant, depth - 1)
-    out = []
-    if variant is Variant.OPEN_INTERVAL:
-        out.append(_middle_half(Fraction(0), prev[0][0]))
-    for blk, nxt in zip(prev, prev[1:]):
-        out += (blk, _middle_half(blk[1], nxt[0]))
-    out.append(prev[-1])
-    if variant is not Variant.WITH_MAX:
-        out.append(_middle_half(prev[-1][1], Fraction(1)))
-    return tuple(out)
+    # block ends as integer numerators over `one`; the ends of level k are
+    # multiples of 4^(depth - k), so every middle half is exact
+    one = 1 << (2 * depth + 3)
+    eighth = one // 8
+    if variant is Variant.WITH_MAX:
+        blocks = [(0, 2 * eighth), (6 * eighth, one)]
+    elif variant is Variant.NO_MAX:
+        blocks = [(0, 2 * eighth)]
+    else:
+        blocks = [(3 * eighth, 5 * eighth)]
+    for _ in range(depth):
+        # each gap between neighbouring blocks gets its middle half as a new
+        # block, placed between the two, and so do the end gaps that no block
+        # closes: at 0 for the open interval, at 1 for both variants without
+        # a top block; the result is sorted by construction
+        out = []
+        if variant is Variant.OPEN_INTERVAL:
+            out.append(_middle_half(0, blocks[0][0]))
+        for blk, nxt in zip(blocks, blocks[1:]):
+            out += (blk, _middle_half(blk[1], nxt[0]))
+        out.append(blocks[-1])
+        if variant is not Variant.WITH_MAX:
+            out.append(_middle_half(blocks[-1][1], one))
+        blocks = out
+    # replaced in place, so that each integer pair is freed as its
+    # Fractions are made and the two never all coexist
+    for k, (lo, hi) in enumerate(blocks):
+        blocks[k] = (Fraction(lo, one), Fraction(hi, one))
+    return tuple(blocks)
 
 
 def _step_value(x: Fraction) -> Fraction:

@@ -235,6 +235,44 @@ class TestFundamental:
         assert ONE <= fundamental(omega_power(g), j)
 
 
+def revalidated(a: Ordinal) -> Ordinal:
+    """a rebuilt through the checking constructor, exponents first."""
+    return Ordinal(tuple((revalidated(exp), coef) for exp, coef in a.terms))
+
+
+class TestArithmeticResultsAreNormalForms:
+    # arithmetic builds its results without the constructor's checks, from
+    # forms that are already valid; each result must pass those checks anyway
+
+    @given(general_ordinals(), general_ordinals())
+    def test_add(self, a, b):
+        r = add(a, b)
+        assert revalidated(r) == r
+
+    @given(general_ordinals())
+    def test_classify_predecessor(self, a):
+        _, pred = classify(add(a, Ordinal.from_int(3)))
+        assert revalidated(pred) == pred
+        kind, pred = classify(a)
+        if kind == OrdinalKind.SUCCESSOR:
+            assert revalidated(pred) == pred
+
+    @given(general_ordinals())
+    def test_tail_split(self, a):
+        if classify(a)[0] != OrdinalKind.LIMIT:
+            return
+        head, exp = tail_split(a)
+        assert revalidated(head) == head
+        assert revalidated(exp) == exp
+
+    @given(general_ordinals(), st.integers(1, 50))
+    def test_fundamental(self, g, j):
+        if g.is_zero():
+            return
+        r = fundamental(omega_power(g), j)
+        assert revalidated(r) == r
+
+
 class TestText:
     def test_parse_examples(self):
         assert parse_ordinal("0") == ZERO

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chainposet.ordinal import (
     OMEGA,
@@ -24,10 +24,12 @@ from chainposet.ordinal import (
     parse_ordinal,
     tail_split,
 )
+from chainposet import systems
 from chainposet.systems import (
     CantorExample,
     Conjugated,
     DenseBlocks,
+    DescentBudgetError,
     OrdinalMap,
     Variant,
     _block_index,
@@ -151,6 +153,32 @@ class TestOrdinalMapValues:
     def test_endpoints_fixed(self, spec):
         assert evaluate(spec, F(0)) == 0
         assert evaluate(spec, F(1)) == 1
+
+
+class TestDescentBudget:
+    # each successor halving and each limit block is one step, and so is the
+    # final evaluation; a run of halvings taken at once counts every halving
+    @pytest.mark.parametrize(
+        "index, x, steps",
+        [
+            ("50", F(1, 10**6), 20),
+            ("w^2*37+40", F(1, 3**20), 32),
+            ("w^2*37", F(12345, 65536), 14),
+        ],
+    )
+    def test_smallest_budget_that_finishes(self, monkeypatch, index, x, steps):
+        index = parse_ordinal(index)
+
+        def finishes(budget):
+            monkeypatch.setattr(systems, "MAX_DESCENT_STEPS", budget)
+            try:
+                _eval_index.__wrapped__(index, x)
+            except DescentBudgetError:
+                return False
+            return True
+
+        assert finishes(steps)
+        assert not finishes(steps - 1)
 
 
 class TestCantorExample:
@@ -454,6 +482,28 @@ unit_rationals = st.one_of(
     st.sampled_from([F(0), F(1, 2), F(1)]),
 )
 
+# indices ending in a finite tail m, bare or after a limit head, and points
+# near 0, where a run of successor halvings ends at the tail rather than at
+# x > 1/2: the run stops at m halvings, or at m - 1 when the index is m
+tailed_indices = st.builds(
+    add,
+    st.one_of(st.just(ZERO), indices_up_to_w_w2()),
+    st.integers(1, 64).map(Ordinal.from_int),
+)
+
+
+@st.composite
+def small_dyadics(draw) -> F:
+    j = draw(st.integers(0, 72))
+    return F(draw(st.integers(0, 2**j)), 2**j)
+
+
+tiny_points = st.one_of(
+    small_dyadics(),
+    st.integers(0, 60).map(lambda j: F(1, 3**j)),
+    st.integers(1, 40).map(lambda j: F(1, 10**j)),
+)
+
 
 # The per-step loop that the closed form in _step_values_on replaced,
 # verbatim; it reads a_closed, which the closed form shows never matters.
@@ -475,6 +525,32 @@ def reference_step_values_on(a: F, a_closed: bool, b: F, b_closed: bool):
                 continue
         out.add(F(1, k + 2))
     return out
+
+
+# The Fraction construction that the integer one in dense_blocks replaced,
+# verbatim.
+def reference_middle_half(u: F, v: F):
+    w = (v - u) / 4
+    return (u + w, v - w)
+
+
+def reference_dense_blocks(variant: Variant, depth: int):
+    if depth == 0:
+        if variant is Variant.WITH_MAX:
+            return ((F(0), F(1, 4)), (F(3, 4), F(1)))
+        if variant is Variant.NO_MAX:
+            return ((F(0), F(1, 4)),)
+        return ((F(3, 8), F(5, 8)),)
+    prev = reference_dense_blocks(variant, depth - 1)
+    out = []
+    if variant is Variant.OPEN_INTERVAL:
+        out.append(reference_middle_half(F(0), prev[0][0]))
+    for blk, nxt in zip(prev, prev[1:]):
+        out += (blk, reference_middle_half(blk[1], nxt[0]))
+    out.append(prev[-1])
+    if variant is not Variant.WITH_MAX:
+        out.append(reference_middle_half(prev[-1][1], F(1)))
+    return tuple(out)
 
 
 # piece ends: step boundaries, block ends, and rationals in between
@@ -509,8 +585,17 @@ def pl_homeos(draw):
 
 
 class TestAgainstFractionReference:
-    @settings(max_examples=300, deadline=None)
-    @given(indices_up_to_w_w2(), unit_rationals)
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.one_of(indices_up_to_w_w2(), tailed_indices),
+        st.one_of(unit_rationals, tiny_points),
+    )
+    # capped at the tail: m - 1 halvings for a bare m, m after a limit head
+    @example(Ordinal.from_int(5), F(1, 1024))
+    @example(parse_ordinal("w^2*3+5"), F(1, 1024))
+    @example(parse_ordinal("w+64"), F(3, 2**70))
+    # a run that ends on x = 1
+    @example(Ordinal.from_int(9), F(1, 8))
     def test_eval_index_matches(self, index, x):
         want = reference_eval_index(index, x)
         assume(want is not None)
@@ -538,3 +623,8 @@ class TestAgainstFractionReference:
         a, a_closed, b, b_closed = piece
         want = reference_step_values_on(a, a_closed, b, b_closed)
         assert _step_values_on(a, b, b_closed) == want
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_dense_blocks_match(self, variant):
+        for depth in range(11):
+            assert dense_blocks(variant, depth) == reference_dense_blocks(variant, depth)
