@@ -21,7 +21,6 @@ least two plus the self-edged singletons; ordering them by reachability
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,11 +69,6 @@ class Grid:
         a, b = self.cell(i)
         return (a + b) / 2
 
-    def cell_of(self, x: Fraction) -> int:
-        """Index of a cell containing x, clamping to the ends."""
-        k = int((x - self.lo) / self.width)
-        return min(max(k, 0), self.n - 1)
-
     def points(self) -> List[Fraction]:
         w = self.width
         return [self.lo + i * w for i in range(self.n + 1)]
@@ -98,9 +92,6 @@ class ConstantField:
     def __post_init__(self) -> None:
         if not self.eps > 0:
             raise ChainGraphError("slack must be positive")
-
-    def value(self, x: Fraction) -> Fraction:
-        return self.eps
 
     def sup_over(self, a: Fraction, b: Fraction) -> Fraction:
         return self.eps
@@ -175,11 +166,6 @@ class ChainGraph:
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.adjacency[i]
-        k = bisect.bisect_left(row, j)
-        return k < len(row) and row[k] == j
 
 
 def cell_images(
@@ -359,9 +345,6 @@ class ComponentPoset:
     def __len__(self) -> int:
         return len(self.components)
 
-    def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
 
 def chain_components(cond: Condensation) -> ComponentPoset:
     rec_ids = [c for c, flag in enumerate(cond.recurrent) if flag]
@@ -406,12 +389,3 @@ def reaches_recurrent(cond: Condensation) -> Tuple[bool, ...]:
     for c in range(len(cond.members)):
         ok[c] = cond.recurrent[c] or any(ok[s] for s in cond.successors[c])
     return tuple(ok[c] for c in cond.comp_of)
-
-
-def is_edge_subset(inner: ChainGraph, outer: ChainGraph) -> bool:
-    """True when every edge of `inner` is also an edge of `outer`."""
-    if inner.n != outer.n:
-        raise ChainGraphError("graphs live on different grids")
-    return all(
-        set(a) <= set(b) for a, b in zip(inner.adjacency, outer.adjacency)
-    )

@@ -119,6 +119,13 @@ def _match_tolerance(graph: ChainGraph) -> Fraction:
     return 8 * graph.eps.bounds(graph.grid.lo, graph.grid.hi)[1]
 
 
+def _level_head(n: int, spec: SystemSpec) -> Dict:
+    """What opens every level entry: the resolution, and the family depth
+    when the spec has one."""
+    depth = getattr(spec, "depth", None)
+    return {"n": n} if depth is None else {"n": n, "depth": depth}
+
+
 def _prediction(spec: SystemSpec, width: Fraction) -> Dict:
     return {
         "label": predicted_label(spec),
@@ -171,14 +178,13 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         graphs.append(graph)
         posets.append(poset)
 
-        entry: Dict = {"n": n, "eps_bounds": None, "components": None}
         lo, hi = graph.eps.bounds(graph.grid.lo, graph.grid.hi)
-        entry["eps_bounds"] = [_fr(lo), _fr(hi)]
-        depth = getattr(spec, "depth", None)
-        if depth is not None:
-            entry["depth"] = depth
-        entry["components"] = _components_section(cond, poset)
-        entry["predicted"] = _prediction(spec, graph.grid.width)
+        entry: Dict = {
+            **_level_head(n, spec),
+            "eps_bounds": [_fr(lo), _fr(hi)],
+            "components": _components_section(cond, poset),
+            "predicted": _prediction(spec, graph.grid.width),
+        }
         checks.append({"name": f"components@{n}", "passed": len(poset) >= 1})
 
         if "lyapunov" in config.tasks:
@@ -258,10 +264,6 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
     return RunArtifacts(report, graphs, posets)
 
 
-def run(config: AnalysisConfig, seedless: bool = False) -> Dict:
-    return run_full(config, seedless).report
-
-
 def exit_status(report: Dict) -> int:
     return 0 if all(c["passed"] for c in report["checks"]) else 1
 
@@ -272,14 +274,11 @@ def render_json(report: Dict) -> str:
 
 def predict_report(config: AnalysisConfig) -> Dict:
     """Model predictions per configured resolution, no graphs built."""
-    out: List[Dict] = []
-    for n, spec in zip(config.resolutions, config.specs):
-        entry: Dict = {"n": n, **_prediction(spec, grid_for(spec, n).width)}
-        depth = getattr(spec, "depth", None)
-        if depth is not None:
-            entry["depth"] = depth
-        out.append(entry)
-    return {"schema": "chainposet-predict-v1", "levels": out}
+    levels = [
+        {**_level_head(n, spec), **_prediction(spec, grid_for(spec, n).width)}
+        for n, spec in zip(config.resolutions, config.specs)
+    ]
+    return {"schema": "chainposet-predict-v1", "levels": levels}
 
 
 # front end

@@ -125,17 +125,16 @@ def _pair_list(value: str, line: int) -> Pairs:
 _Raw = Dict[str, Tuple[str, int]]
 
 
-def _take(raw: _Raw, key: str) -> Optional[Tuple[str, int]]:
-    return raw.pop(key, None)
-
-
 _Builder = Callable[[Optional[int]], SystemSpec]
 
 
-def _system(raw: _Raw) -> Tuple[str, Optional[int], _Builder, Optional[PLHomeo]]:
-    """Parse the system keys: the family, its `depth` key, a builder from
+def _system(
+    raw: _Raw,
+) -> Tuple[str, Optional[int], int, _Builder, Optional[PLHomeo]]:
+    """Parse the system keys: the family, its `depth` key and the line a bad
+    depth is reported on (that of `depth`, else of `system`), a builder from
     family depth to spec, and the homeomorphism."""
-    got = _take(raw, "system")
+    got = raw.pop("system", None)
     if got is None:
         raise ConfigError("missing required key 'system'")
     kind, kind_line = got
@@ -144,7 +143,7 @@ def _system(raw: _Raw) -> Tuple[str, Optional[int], _Builder, Optional[PLHomeo]]
 
     inner_kind: Optional[str] = None
     if kind == "conjugated":
-        got = _take(raw, "inner")
+        got = raw.pop("inner", None)
         if got is None:
             raise ConfigError("system 'conjugated' needs an 'inner' system", kind_line)
         inner_kind, inner_line = got
@@ -157,7 +156,7 @@ def _system(raw: _Raw) -> Tuple[str, Optional[int], _Builder, Optional[PLHomeo]]
 
     lam: Optional[Ordinal] = None
     if effective == "ordinal":
-        got = _take(raw, "lambda")
+        got = raw.pop("lambda", None)
         if got is None:
             raise ConfigError("ordinal systems need a 'lambda' key", kind_line)
         text, line = got
@@ -169,18 +168,18 @@ def _system(raw: _Raw) -> Tuple[str, Optional[int], _Builder, Optional[PLHomeo]]
         raise ConfigError("'lambda' only applies to ordinal systems", raw["lambda"][1])
 
     depth: Optional[int] = None
+    depth_line = kind_line
     if effective in ("cantor", "dense_blocks"):
-        got = _take(raw, "depth")
+        got = raw.pop("depth", None)
         if got is not None:
             depth = _integer(*got)
-            if depth < 0:
-                raise ConfigError("depth must be nonnegative", got[1])
+            depth_line = got[1]
     elif "depth" in raw:
         raise ConfigError("'depth' only applies to block families", raw["depth"][1])
 
     variant = Variant.WITH_MAX
     if effective == "dense_blocks":
-        got = _take(raw, "variant")
+        got = raw.pop("variant", None)
         if got is not None:
             text, line = got
             try:
@@ -192,7 +191,7 @@ def _system(raw: _Raw) -> Tuple[str, Optional[int], _Builder, Optional[PLHomeo]]
         raise ConfigError("'variant' only applies to dense_blocks", raw["variant"][1])
 
     homeo: Optional[PLHomeo] = None
-    got = _take(raw, "homeo")
+    got = raw.pop("homeo", None)
     if got is not None:
         text, line = got
         points = _pair_list(text, line)
@@ -214,13 +213,13 @@ def _system(raw: _Raw) -> Tuple[str, Optional[int], _Builder, Optional[PLHomeo]]
             spec = DenseBlocks(d, variant)
         return Conjugated(spec, homeo) if kind == "conjugated" else spec
 
-    return effective, depth, build, homeo
+    return effective, depth, depth_line, build, homeo
 
 
 def _assemble(raw: _Raw) -> AnalysisConfig:
-    effective, depth, build, homeo = _system(raw)
+    effective, depth, depth_line, build, homeo = _system(raw)
 
-    got = _take(raw, "resolutions")
+    got = raw.pop("resolutions", None)
     if got is None:
         raise ConfigError("missing required key 'resolutions'")
     text, res_line = got
@@ -231,7 +230,7 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
         raise ConfigError("resolutions must be positive", res_line)
 
     depths: Optional[Tuple[int, ...]] = None
-    got = _take(raw, "depths")
+    got = raw.pop("depths", None)
     if got is not None:
         text, line = got
         if effective not in ("cantor", "dense_blocks"):
@@ -241,9 +240,10 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
         depths = tuple(_integer(item, line) for item in _list_items(text, line))
         if len(depths) != len(resolutions):
             raise ConfigError("'depths' must align with 'resolutions'", line)
+        depth_line = line
 
     eps: Optional[EpsilonField] = None
-    got = _take(raw, "eps")
+    got = raw.pop("eps", None)
     if got is not None:
         text, line = got
         if text.startswith("["):
@@ -259,7 +259,7 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
             eps = constant_field(value)
 
     tasks: Tuple[str, ...] = ("components",)
-    got = _take(raw, "tasks")
+    got = raw.pop("tasks", None)
     if got is not None:
         text, line = got
         tasks = tuple(_list_items(text, line))
@@ -276,7 +276,7 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
             raise ConfigError("the conjugacy task needs a 'homeo' key", line)
 
     # ignored since descent stopped sampling; kept because the benchmark tests write it
-    got = _take(raw, "samples")
+    got = raw.pop("samples", None)
     if got is not None and _integer(*got) < 1:
         raise ConfigError("samples must be positive", got[1])
 
@@ -286,7 +286,7 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
     try:
         specs = tuple(build(d) for d in depths or (depth,) * len(resolutions))
     except ValueError as e:
-        raise ConfigError(str(e)) from None
+        raise ConfigError(str(e), depth_line) from None
     return AnalysisConfig(specs, resolutions, depths, homeo, eps, tasks)
 
 

@@ -2,9 +2,9 @@
 
 A ComponentPoset lists recurrent components left to right with (a, b)
 pairs meaning a sits strictly below b.  This module adds the usual poset
-queries, duality, a positional order-isomorphism check and, across a
-sequence of increasingly fine analyses, a density signature that tells
-gaps that keep subdividing apart from gaps that persist.
+queries, a positional order-isomorphism check and, across a sequence of
+increasingly fine analyses, a density signature that tells gaps that keep
+subdividing apart from gaps that persist.
 """
 
 from __future__ import annotations
@@ -46,14 +46,6 @@ def hasse_covers(poset: ComponentPoset) -> Tuple[Tuple[int, int], ...]:
             continue
         covers.append((a, b))
     return tuple(covers)
-
-
-def dual(poset: ComponentPoset) -> ComponentPoset:
-    return ComponentPoset(
-        poset.grid,
-        poset.components,
-        frozenset((b, a) for a, b in poset.pairs),
-    )
 
 
 def linear_order_type(poset: ComponentPoset) -> Tuple[int, ...]:

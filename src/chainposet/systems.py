@@ -116,9 +116,6 @@ class PLHomeo:
     def invert(self, y: Fraction) -> Fraction:
         return _pl_apply(self._backward, y)
 
-    def inverse(self) -> "PLHomeo":
-        return PLHomeo(tuple((b, a) for a, b in self.points))
-
 
 # interior breakpoint abscissae, and for each piece integers (a, b, d) with
 # value (a*x + b)/d on it, so that at x = p/q the value is (a*p + b*q)/(d*q)

@@ -16,7 +16,6 @@ from chainposet.cli import (
     main,
     predict_report,
     render_json,
-    run,
     run_full,
 )
 from chainposet.config import (
@@ -136,6 +135,10 @@ class TestConfigParse:
             ("system = ordinal\nlambda = 2\nresolutions = 64\ntasks = [dance]\n", 4),
             ("system = ordinal\nlambda = 2\nresolutions = 64\nsamples = 0\n", 4),
             ("system = cantor\ndepth = 1\nresolutions = [64, 128]\ndepths = [1, 2]\n", 4),
+            # the spec rejects these when built, after every key is parsed
+            ("system = cantor\ndepth = 0\nresolutions = 64\n", 2),
+            ("system = dense_blocks\nresolutions = [64, 128]\ndepths = [1, 30]\n", 3),
+            ("system = cantor\nresolutions = 64\n", 1),
         ],
     )
     def test_positioned_errors(self, text, line):
@@ -234,7 +237,7 @@ class TestPredict:
 class TestRun:
     def test_square_two_components(self):
         cfg = parse_config("system = ordinal\nlambda = 1\nresolutions = 1024\n")
-        report = run(cfg, seedless=True)
+        report = run_full(cfg, seedless=True).report
         comp = report["levels"][0]["components"]
         assert comp["count"] == 2
         assert comp["linear"] is True
@@ -246,7 +249,7 @@ class TestRun:
             "system = dense_blocks\ndepth = 2\nvariant = with_max\n"
             "resolutions = 4096\n"
         )
-        report = run(cfg, seedless=True)
+        report = run_full(cfg, seedless=True).report
         comp = report["levels"][0]["components"]
         assert comp["count"] == 5
         assert all(a < b for a, b in comp["pairs"])
@@ -258,7 +261,7 @@ class TestRun:
             "resolutions = [1024, 2048]\ndepths = [1, 2]\n"
             "tasks = [components, refine, signature]\n"
         )
-        report = run(cfg, seedless=True)
+        report = run_full(cfg, seedless=True).report
         assert report["refine"]["all_matched"] is True
         assert report["signature"]["counts"] == [3, 5]
         assert report["signature"]["dense_growth"] is True
@@ -272,7 +275,7 @@ class TestRun:
             "system = ordinal\nlambda = w\nresolutions = [256, 1024]\n"
             "tasks = [components, refine]\n"
         )
-        report = run(cfg, seedless=True)
+        report = run_full(cfg, seedless=True).report
         assert report["refine"]["all_matched"] is True
         assert all(k is not None for k in report["refine"]["matches"][0])
         assert report["refine"]["tolerances"] == [str(F(8 * 2, 256))]
@@ -284,7 +287,7 @@ class TestRun:
             "homeo = [(0, 0), (1/3, 1/2), (1, 1)]\n"
             "tasks = [components, conjugacy]\n"
         )
-        report = run(cfg, seedless=True)
+        report = run_full(cfg, seedless=True).report
         conj = report["levels"][0]["conjugacy"]
         assert conj["isomorphic"] is True
         assert conj["representatives_aligned"] is True
@@ -295,7 +298,7 @@ class TestRun:
             "system = cantor\ndepth = 1\nresolutions = 256\n"
             "tasks = [components, lyapunov]\nsamples = 4\n"
         )
-        report = run(cfg, seedless=True)
+        report = run_full(cfg, seedless=True).report
         lyap = report["levels"][0]["lyapunov"]
         assert lyap["certified"] is True
         names = {c["name"] for c in lyap["checks"]}
@@ -306,21 +309,21 @@ class TestRun:
             "system = ordinal\nlambda = 1\nresolutions = 2097152\n"
         )
         with pytest.raises(ChainGraphError):
-            run(cfg)
+            run_full(cfg)
 
     def test_deterministic_json(self):
         cfg = parse_config(
             "system = dense_blocks\ndepth = 1\nresolutions = [128, 256]\n"
             "tasks = [components, lyapunov, refine]\nsamples = 3\n"
         )
-        a = render_json(run(cfg, seedless=True))
-        b = render_json(run(cfg, seedless=True))
+        a = render_json(run_full(cfg, seedless=True).report)
+        b = render_json(run_full(cfg, seedless=True).report)
         assert a == b
 
     def test_timing_only_without_seedless(self):
         cfg = parse_config("system = ordinal\nlambda = 1\nresolutions = 64\n")
-        assert "timing" in run(cfg)
-        assert "timing" not in run(cfg, seedless=True)
+        assert "timing" in run_full(cfg).report
+        assert "timing" not in run_full(cfg, seedless=True).report
 
     @pytest.mark.parametrize(
         "name, digest",
@@ -332,7 +335,7 @@ class TestRun:
         ],
     )
     def test_bundled_reports_frozen(self, name, digest):
-        text = render_json(run(load_config(CONFIGS / name), seedless=True))
+        text = render_json(run_full(load_config(CONFIGS / name), seedless=True).report)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize(

@@ -23,7 +23,6 @@ from chainposet.chaingraph import (
 from chainposet.poset import (
     PosetError,
     density_signature,
-    dual,
     hasse_covers,
     is_linear,
     linear_order_type,
@@ -35,6 +34,8 @@ from chainposet.poset import (
 )
 from chainposet.ordinal import ONE
 from chainposet.systems import CantorExample, DenseBlocks, OrdinalMap, Variant
+
+from oracles import dual
 
 
 def hand_poset(m, pairs, spans=None):

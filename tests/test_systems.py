@@ -311,7 +311,7 @@ class TestHomeo:
     @given(unit_fractions)
     def test_inverse_round_trip(self, x):
         assert SAMPLE_HOMEO.invert(SAMPLE_HOMEO.apply(x)) == x
-        assert SAMPLE_HOMEO.inverse().apply(SAMPLE_HOMEO.apply(x)) == x
+        assert SAMPLE_HOMEO.apply(SAMPLE_HOMEO.invert(x)) == x
 
 
 class TestConjugated:
