@@ -28,7 +28,9 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .systems import (
+    OrdinalMap,
     SystemSpec,
+    _descend,
     evaluate,
     image_intervals,
     is_increasing,
@@ -173,7 +175,16 @@ def cell_images(
 ) -> List[Tuple[Tuple[Fraction, Fraction], ...]]:
     """Exact image of every closed cell, as sorted disjoint intervals."""
     if is_increasing(spec):
-        vals = [evaluate(spec, x) for x in grid.points()]
+        if isinstance(spec, OrdinalMap) and 0 <= grid.lo and grid.hi <= 1:
+            # every point in one descent, as numerators over one denominator
+            lo, w = grid.lo, grid.width
+            d = math.lcm(lo.denominator, w.denominator)
+            first = lo.numerator * (d // lo.denominator)
+            step = w.numerator * (d // w.denominator)
+            vals = _descend(spec.index, range(first, first + step * grid.n + 1, step), d)
+        else:
+            # a grid that leaves the domain fails here as evaluate fails
+            vals = [evaluate(spec, x) for x in grid.points()]
         return [((vals[i], vals[i + 1]),) for i in range(grid.n)]
     return [image_intervals(spec, *grid.cell(i)) for i in range(grid.n)]
 
@@ -189,6 +200,8 @@ def build_chain_graph(
     parts = cell_images(spec, grid)
     n, lo, w = grid.n, grid.lo, grid.width
     adjacency: List[Tuple[int, ...]] = []
+    # rows are sliced from one list, so equal targets share one int object
+    cells = list(range(n))
     total = 0
     for i in range(n):
         ci_lo, ci_hi = grid.cell(i)
@@ -214,7 +227,7 @@ def build_chain_graph(
             raise ChainGraphError("edge budget exceeded; shrink the slack or the grid")
         row: List[int] = []
         for a, b in merged:
-            row.extend(range(a, b + 1))
+            row += cells[a : b + 1]
         if not hits_self and i in row:
             row.remove(i)
         adjacency.append(tuple(row))

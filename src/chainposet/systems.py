@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .ordinal import (
     ONE,
@@ -179,53 +179,95 @@ def is_increasing(spec: SystemSpec) -> bool:
 
 @lru_cache(maxsize=1 << 17)
 def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
-    # iterative descent on integers: x = p/q over a fixed q, and the value so
-    # far is (s + inner)/c, where inner is the current index's map at x; the
-    # block index (unbounded near 1) never turns into stack depth, and only
-    # the returned value is normalised
+    # one point of _descend, for the callers that evaluate point by point:
+    # conjugated maps and the certificate check
+    return _descend(index, (x.numerator,), x.denominator)[0]
+
+
+def _descend(index: Ordinal, ps: Sequence[int], q: int) -> List[Fraction]:
+    """Values of the index map at p/q for strictly increasing p in 0..q.
+
+    One iterative descent on integers over a fixed q: a group of points
+    that takes the same successor halvings, or falls in the same limit
+    block, shares the current index and (s, c), with the value at each of
+    its points so far (s + inner)/c, where inner is the current index's map
+    at p/q.  The ordinal work is done once per group, and only the
+    numerators p are rewritten.  The block index (unbounded near 1) never
+    turns into stack depth, and only the returned values are normalised.
+    """
     start = index
-    p, q = x.numerator, x.denominator
-    s, c = 0, 1
-    steps = 0
-    while steps < MAX_DESCENT_STEPS:
-        if p == 0:
-            return Fraction(s, c)
-        if p == q:
-            return Fraction(s + 1, c)
+    cur = list(ps)
+    out = [None] * len(cur)
+    # groups (index, first, end, s, c, steps) over positions first..end-1;
+    # a group's subgroups are stacked right to left, so groups are taken left
+    # to right and the first one out of budget holds the leftmost point that is
+    work = [(index, 0, len(cur), 0, 1, 0)]
+    while work:
+        index, lo, hi, s, c, steps = work.pop()
+        if steps >= MAX_DESCENT_STEPS:
+            raise DescentBudgetError(
+                f"evaluating the index-{format_ordinal(start)} map at "
+                f"{Fraction(ps[lo], q)} took more than {MAX_DESCENT_STEPS} descent steps"
+            )
+        if cur[lo] == 0:
+            out[lo] = Fraction(s, c)
+            lo += 1
+        if lo < hi and cur[hi - 1] == q:
+            hi -= 1
+            out[hi] = Fraction(s + 1, c)
+        if lo == hi:
+            continue
         terms = index.terms
         if not terms:
             # index 0: x
-            return Fraction(s * q + p, c * q)
+            for k in range(lo, hi):
+                out[k] = Fraction(s * q + cur[k], c * q)
+            continue
         exp, m = terms[-1]
         if not exp.terms:
+            qq = q * q
             if len(terms) == 1 and m == 1:
                 # index 1: x^2
-                return Fraction(s * q * q + p * p, c * q * q)
-            if 2 * p > q:
-                # inner = x^2 - x/2 + 1/2
-                qq = q * q
-                return Fraction(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
-            # a run of t successor halvings at once, each one step: it ends
+                for k in range(lo, hi):
+                    out[k] = Fraction(s * qq + cur[k] ** 2, c * qq)
+                continue
+            # above 1/2, inner = x^2 - x/2 + 1/2
+            mid = bisect.bisect_right(cur, q >> 1, lo, hi)
+            for k in range(mid, hi):
+                p = cur[k]
+                out[k] = Fraction(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
+            # runs of t successor halvings at once, each one step: a run ends
             # where x passes 1/2, or where the finite tail m runs out (at 1
-            # when the whole index is m, since index 1 is the square)
-            t = min((q // p).bit_length() - 1, m - 1 if len(terms) == 1 else m)
-            p, s, c = p << t, s << t, c << t
-            index = _nf(terms[:-1] if t == m else terms[:-1] + ((ZERO, m - t),))
-            steps += t
-            continue
-        # block n is [n/(n+1), (n+1)/(n+2)], rescaled onto [0, 1]
-        head, tail_exp = tail_split(index)
-        n = p // (q - p)
-        block = (n + 1) * (n + 2)
-        s = s * block + n * (n + 2)
-        c *= block
-        p = ((n + 1) * p - n * q) * (n + 2)
-        index = _block_index(head, tail_exp, n)
-        steps += 1
-    raise DescentBudgetError(
-        f"evaluating the index-{format_ordinal(start)} map at {x} took more than "
-        f"{MAX_DESCENT_STEPS} descent steps"
-    )
+            # when the whole index is m, since index 1 is the square); below
+            # that cap t is floor(log2(q/p)), so it falls as p grows, and the
+            # points that share it are those above q >> (t + 1)
+            cap = m - 1 if len(terms) == 1 else m
+            k = mid
+            while k > lo:
+                t = min((q // cur[k - 1]).bit_length() - 1, cap)
+                first = lo if t == cap else bisect.bisect_right(cur, q >> (t + 1), lo, k)
+                for j in range(first, k):
+                    cur[j] <<= t
+                rest = terms[:-1] if t == m else terms[:-1] + ((ZERO, m - t),)
+                work.append((_nf(rest), first, k, s << t, c << t, steps + t))
+                k = first
+        else:
+            # block n is [n/(n+1), (n+1)/(n+2)], rescaled onto [0, 1]; n rises
+            # with p, and block n holds the points from n/(n+1) below the next
+            head, tail_exp = tail_split(index)
+            k = hi
+            while k > lo:
+                n = cur[k - 1] // (q - cur[k - 1])
+                first = bisect.bisect_left(cur, -(-n * q // (n + 1)), lo, k)
+                for j in range(first, k):
+                    cur[j] = ((n + 1) * cur[j] - n * q) * (n + 2)
+                block = (n + 1) * (n + 2)
+                work.append((
+                    _block_index(head, tail_exp, n), first, k,
+                    s * block + n * (n + 2), c * block, steps + 1,
+                ))
+                k = first
+    return out
 
 
 def _block_index(head: Ordinal, tail_exp: Ordinal, n: int) -> Ordinal:
@@ -233,30 +275,36 @@ def _block_index(head: Ordinal, tail_exp: Ordinal, n: int) -> Ordinal:
     return head if n == 0 else add(head, fundamental(_nf(((tail_exp, 1),)), n))
 
 
-def _rep_points(lam: Ordinal, s: int, c: int, cutoff: Fraction) -> set:
-    # fixed points of the index-lam map rescaled to [s/c, (s+1)/c], following
-    # the same successor halving and limit blocks (s, c) as _eval_index; a
-    # span 1/c is below the cutoff a/b when a*c > b
+def _rep_points(lam: Ordinal, s: int, c: int, cutoff: Fraction, out: list) -> None:
+    # fixed points of the index-lam map rescaled to [s/c, (s+1)/c], as
+    # (s, c) pairs appended left to right, following the same successor
+    # halving and limit blocks (s, c) as _descend; neighbouring blocks share
+    # an end, so a point can repeat, but only next to itself.  A span 1/c is
+    # below the cutoff a/b when a*c > b
     a, b = cutoff.numerator, cutoff.denominator
     if lam == ZERO or a * c > b:
-        return {Fraction(s, c)}
+        out.append((s, c))
+        return
     if lam == ONE:
-        return {Fraction(s, c), Fraction(s + 1, c)}
+        out += ((s, c), (s + 1, c))
+        return
     kind, pred = classify(lam)
     if kind == OrdinalKind.SUCCESSOR:
-        return _rep_points(pred, 2 * s, 2 * c, cutoff) | {Fraction(s + 1, c)}
+        _rep_points(pred, 2 * s, 2 * c, cutoff, out)
+        out.append((s + 1, c))
+        return
     head, tail_exp = tail_split(lam)
-    pts = {Fraction(s, c), Fraction(s + 1, c)}
+    out.append((s, c))
     n = 0
     while True:
         block = (n + 1) * (n + 2)
         if a * c * block > b:
             break
-        pts |= _rep_points(
-            _block_index(head, tail_exp, n), s * block + n * (n + 2), c * block, cutoff
+        _rep_points(
+            _block_index(head, tail_exp, n), s * block + n * (n + 2), c * block, cutoff, out
         )
         n += 1
-    return pts
+    out.append((s + 1, c))
 
 
 # model predictions
@@ -265,7 +313,14 @@ def _rep_points(lam: Ordinal, s: int, c: int, cutoff: Fraction) -> set:
 def predicted_representatives(spec: SystemSpec, cutoff: Fraction) -> Tuple[Fraction, ...]:
     """Fixed points the component search should find, down to the cutoff."""
     if isinstance(spec, OrdinalMap):
-        return tuple(sorted(_rep_points(spec.index, 0, 1, cutoff)))
+        pairs: List[Tuple[int, int]] = []
+        _rep_points(spec.index, 0, 1, cutoff, pairs)
+        pts: List[Fraction] = []
+        for s, c in pairs:
+            x = Fraction(s, c)
+            if not pts or x != pts[-1]:
+                pts.append(x)
+        return tuple(pts)
     if isinstance(spec, CantorExample):
         ends = (x for gap in cantor_gaps(spec.depth) for x in gap)
         return (Fraction(0), *ends, Fraction(1))

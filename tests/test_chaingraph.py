@@ -209,6 +209,19 @@ class TestEdges:
             for row in g.adjacency:
                 assert list(row) == sorted(set(row))
 
+    def test_rows_share_their_targets(self):
+        # a target cell is one int object in every row that holds it, so
+        # large graphs keep one copy of each; above 256, ints built apart
+        # are apart objects
+        n = 1024
+        for spec in (OrdinalMap(ZERO), OrdinalMap(OMEGA)):
+            g = build_chain_graph(spec, Grid(F(0), F(1), n), constant_field(F(4, n)))
+            first = {}
+            for row in g.adjacency:
+                for j in row:
+                    assert first.setdefault(j, j) is j
+            assert len(first) > 256
+
     def test_edge_budget_guard(self, monkeypatch):
         monkeypatch.setattr(cg, "MAX_EDGES", 64)
         with pytest.raises(ChainGraphError):

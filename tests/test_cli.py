@@ -436,19 +436,28 @@ class TestMain:
 
     def test_runaway_descent_exit_code(self, tmp_path, capsys):
         # descents above w^w can run for minutes at one rational; the budget
-        # stops this run within a second
-        cfg = self._write(
-            tmp_path,
-            "system = conjugated\ninner = ordinal\nlambda = w^(w^2)\n"
-            "homeo = [(0, 0), (13/97, 29/101), (1, 1)]\nresolutions = [1024]\n"
-            "tasks = [components, lyapunov]\n",
-        )
-        t0 = time.monotonic()
-        assert main(["analyze", cfg, "--seedless"]) == 2
-        assert time.monotonic() - t0 < 10
-        err = capsys.readouterr().err
-        assert err.startswith("evaluation error:")
-        assert "w^(w^2)" in err
+        # stops each run within a second
+        cases = [
+            # conjugated: the grid is evaluated point by point
+            (
+                "system = conjugated\ninner = ordinal\nlambda = w^(w^2)\n"
+                "homeo = [(0, 0), (13/97, 29/101), (1, 1)]\nresolutions = [1024]\n"
+                "tasks = [components, lyapunov]\n",
+                "397301/595968",
+            ),
+            # plain: all grid points descend at once, and the error names the
+            # leftmost point that runs out, as one by one
+            ("system = ordinal\nlambda = w^(w^2)\nresolutions = [999]\n", "245/333"),
+        ]
+        for text, point in cases:
+            cfg = self._write(tmp_path, text)
+            t0 = time.monotonic()
+            assert main(["analyze", cfg, "--seedless"]) == 2
+            assert time.monotonic() - t0 < 10
+            assert capsys.readouterr().err == (
+                f"evaluation error: evaluating the index-w^(w^2) map at {point} "
+                "took more than 1024 descent steps\n"
+            )
 
     @pytest.mark.parametrize(
         "text",

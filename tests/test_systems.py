@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from chainposet.chaingraph import Grid, cell_images
 from chainposet.ordinal import (
     OMEGA,
     ONE,
@@ -179,6 +180,23 @@ class TestDescentBudget:
 
         assert finishes(steps)
         assert not finishes(steps - 1)
+
+    @pytest.mark.parametrize("budget", [1, 3, 8, 20, 64])
+    @pytest.mark.parametrize("index", ["w^(w^2)", "w^(w)+w^2*3", "w^3*2+w+5", "40"])
+    def test_grid_error_names_the_leftmost_point(self, monkeypatch, index, budget):
+        # the grid descends all its points at once, yet fails as evaluating
+        # them one by one from the left does
+        monkeypatch.setattr(systems, "MAX_DESCENT_STEPS", budget)
+        spec, grid = OrdinalMap(parse_ordinal(index)), Grid(F(0), F(1), 333)
+
+        def outcome(values):
+            try:
+                return values()
+            except DescentBudgetError as e:
+                return str(e)
+
+        want = outcome(lambda: [_eval_index.__wrapped__(spec.index, x) for x in grid.points()])
+        assert outcome(lambda: grid_values(spec, grid)) == want
 
 
 class TestCantorExample:
@@ -584,6 +602,31 @@ def pl_homeos(draw):
     return make_homeo([(0, 0), *zip(xs, ys), (1, 1)])
 
 
+@st.composite
+def grids_in_unit(draw) -> Grid:
+    """The unit grid, or a grid on a sub-interval of [0, 1]."""
+    n = draw(st.integers(1, 512))
+    if draw(st.booleans()):
+        return Grid(F(0), F(1), n)
+    ends = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return Grid(lo, hi, n)
+
+
+def grid_values(spec, grid):
+    """The map at every grid point, read off the cell images."""
+    images = cell_images(spec, grid)
+    return [a for ((a, _),) in images] + [images[-1][0][1]]
+
+
+# cutoffs down to 1/65536, with denominators of every kind
+cutoffs = st.one_of(
+    st.integers(1, 65536).map(lambda m: F(1, m)),
+    st.integers(0, 16).map(lambda j: F(1, 2**j)),
+    st.fractions(min_value=F(1, 65536), max_value=1, max_denominator=65536),
+)
+
+
 class TestAgainstFractionReference:
     @settings(max_examples=600, deadline=None)
     @given(
@@ -611,9 +654,32 @@ class TestAgainstFractionReference:
         assert h.invert(y) == x
 
     @settings(max_examples=100, deadline=None)
-    @given(indices_up_to_w_w2(), st.integers(1, 256))
-    def test_representatives_match(self, index, m):
-        cutoff = F(1, m)
+    @given(st.one_of(indices_up_to_w_w2(), tailed_indices), grids_in_unit())
+    def test_grid_values_match(self, index, grid):
+        want = [reference_eval_index(index, x) for x in grid.points()]
+        assume(None not in want)
+        assert grid_values(OrdinalMap(index), grid) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_ordinal_maps(),
+        st.fractions(min_value=-1, max_value=1, max_denominator=50),
+        st.fractions(min_value=0, max_value=2, max_denominator=50),
+        st.integers(1, 64),
+    )
+    def test_grid_outside_the_unit_interval_raises(self, spec, lo, hi, n):
+        # the error that evaluating the points one by one raises first
+        assume(lo < hi and not 0 <= lo < hi <= 1)
+        grid = Grid(lo, hi, n)
+        with pytest.raises(ValueError) as one_by_one:
+            [evaluate(spec, x) for x in grid.points()]
+        with pytest.raises(ValueError) as at_once:
+            cell_images(spec, grid)
+        assert str(at_once.value) == str(one_by_one.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(indices_up_to_w_w2(), tailed_indices), cutoffs)
+    def test_representatives_match(self, index, cutoff):
         want = tuple(sorted(reference_rep_points(index, F(0), F(1), cutoff)))
         assert predicted_representatives(OrdinalMap(index), cutoff) == want
 
