@@ -28,13 +28,13 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .systems import (
-    OrdinalMap,
     SystemSpec,
-    _descend,
     evaluate,
     image_intervals,
     is_increasing,
     is_open,
+    to_fraction,
+    values_at,
 )
 
 MAX_CELLS = 1 << 20
@@ -52,6 +52,8 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", to_fraction(self.lo))
+        object.__setattr__(self, "hi", to_fraction(self.hi))
         if not self.lo < self.hi:
             raise ChainGraphError("grid must have positive length")
         if not 1 <= self.n <= MAX_CELLS:
@@ -144,11 +146,11 @@ EpsilonField = Union[ConstantField, PiecewiseField]
 
 
 def constant_field(eps) -> ConstantField:
-    return ConstantField(Fraction(eps))
+    return ConstantField(to_fraction(eps))
 
 
 def piecewise_field(points) -> PiecewiseField:
-    return PiecewiseField(tuple((Fraction(x), Fraction(v)) for x, v in points))
+    return PiecewiseField(tuple((to_fraction(x), to_fraction(v)) for x, v in points))
 
 
 def auto_field(grid: Grid) -> ConstantField:
@@ -175,13 +177,13 @@ def cell_images(
 ) -> List[Tuple[Tuple[Fraction, Fraction], ...]]:
     """Exact image of every closed cell, as sorted disjoint intervals."""
     if is_increasing(spec):
-        if isinstance(spec, OrdinalMap) and 0 <= grid.lo and grid.hi <= 1:
-            # every point in one descent, as numerators over one denominator
+        if 0 <= grid.lo and grid.hi <= 1:
+            # every point in one call, as numerators over one denominator
             lo, w = grid.lo, grid.width
             d = math.lcm(lo.denominator, w.denominator)
             first = lo.numerator * (d // lo.denominator)
             step = w.numerator * (d // w.denominator)
-            vals = _descend(spec.index, range(first, first + step * grid.n + 1, step), d)
+            vals = values_at(spec, range(first, first + step * grid.n + 1, step), d)
         else:
             # a grid that leaves the domain fails here as evaluate fails
             vals = [evaluate(spec, x) for x in grid.points()]

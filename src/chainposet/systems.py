@@ -145,8 +145,16 @@ def _pl_apply(table: _PLTable, x: Fraction) -> Fraction:
     return Fraction(a * p + b * q, d * q)
 
 
+def to_fraction(v) -> Fraction:
+    """An int, a Fraction or a "p/q" string as a Fraction; a float is refused,
+    since it would silently become the binary fraction nearest to it."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; give an int, a Fraction or a 'p/q' string")
+    return Fraction(v)
+
+
 def make_homeo(points) -> PLHomeo:
-    return PLHomeo(tuple((Fraction(a), Fraction(b)) for a, b in points))
+    return PLHomeo(tuple((to_fraction(a), to_fraction(b)) for a, b in points))
 
 
 @dataclass(frozen=True)
@@ -175,13 +183,6 @@ def is_increasing(spec: SystemSpec) -> bool:
 
 
 # transfinite family
-
-
-@lru_cache(maxsize=1 << 17)
-def _eval_index(index: Ordinal, x: Fraction) -> Fraction:
-    # one point of _descend, for the callers that evaluate point by point:
-    # conjugated maps and the certificate check
-    return _descend(index, (x.numerator,), x.denominator)[0]
 
 
 def _descend(index: Ordinal, ps: Sequence[int], q: int) -> List[Fraction]:
@@ -448,21 +449,32 @@ def _eval_cantor(spec: CantorExample, x: Fraction) -> Fraction:
     return x
 
 
+def values_at(spec: SystemSpec, ps: Sequence[int], q: int) -> List[Fraction]:
+    """Exact values at p/q for strictly increasing p, all in the domain."""
+    if isinstance(spec, OrdinalMap):
+        return _descend(spec.index, ps, q)
+    if isinstance(spec, CantorExample):
+        return [_eval_cantor(spec, Fraction(p, q)) for p in ps]
+    if isinstance(spec, DenseBlocks):
+        return [_eval_dense(spec, Fraction(p, q)) for p in ps]
+    if isinstance(spec, Conjugated):
+        # h^-1 is increasing, so the pulled-back points stay sorted over the
+        # lcm of their denominators, and the inner map takes them in one call
+        h = spec.homeo
+        xs = [h.invert(Fraction(p, q)) for p in ps]
+        d = math.lcm(*(x.denominator for x in xs))
+        inner = values_at(spec.inner, [x.numerator * (d // x.denominator) for x in xs], d)
+        return [h.apply(y) for y in inner]
+    raise TypeError(f"unknown system spec {spec!r}")
+
+
 def evaluate(spec: SystemSpec, x: Fraction) -> Fraction:
     """Exact value of the system at x; x must lie in the domain."""
-    x = Fraction(x)
+    x = to_fraction(x)
     p, q = x.numerator, x.denominator
     if not (0 < p < q if is_open(spec) else 0 <= p <= q):
         raise ValueError(f"{x} outside the domain")
-    if isinstance(spec, OrdinalMap):
-        return _eval_index(spec.index, x)
-    if isinstance(spec, CantorExample):
-        return _eval_cantor(spec, x)
-    if isinstance(spec, DenseBlocks):
-        return _eval_dense(spec, x)
-    if isinstance(spec, Conjugated):
-        return spec.homeo.apply(evaluate(spec.inner, spec.homeo.invert(x)))
-    raise TypeError(f"unknown system spec {spec!r}")
+    return values_at(spec, (p,), q)[0]
 
 
 # image enclosures

@@ -141,6 +141,17 @@ class TestGrid:
         with pytest.raises(ChainGraphError):
             Grid(F(1), F(0), 4)
 
+    def test_int_ends_become_fractions(self):
+        g, want = Grid(0, 1, 3), Grid(F(0), F(1), 3)
+        assert g == want and isinstance(g.width, F)
+        assert build_chain_graph(OrdinalMap(ONE), g) == build_chain_graph(OrdinalMap(ONE), want)
+
+    def test_float_ends_are_refused(self):
+        with pytest.raises(TypeError):
+            Grid(0.0, F(1), 3)
+        with pytest.raises(TypeError):
+            Grid(F(0), 1.0, 3)
+
 
 class TestFields:
     def test_constant(self):
@@ -165,6 +176,18 @@ class TestFields:
             piecewise_field([(0, 1), (F(1, 2), 0), (1, 1)])
         with pytest.raises(ChainGraphError):
             piecewise_field([(F(1, 4), 1), (1, 1)])
+
+    def test_constant_refuses_floats(self):
+        assert constant_field(1).eps == constant_field("1/1").eps == F(1)
+        with pytest.raises(TypeError):
+            constant_field(0.01)
+
+    def test_piecewise_refuses_floats(self):
+        assert piecewise_field([(0, "1/2"), (1, F(1, 2))]).points == ((0, F(1, 2)), (1, F(1, 2)))
+        with pytest.raises(TypeError):
+            piecewise_field([(0, 1), (1, 0.5)])
+        with pytest.raises(TypeError):
+            piecewise_field([(0.0, 1), (1, 1)])
 
     def test_auto_slack_is_two_cells(self):
         assert auto_field(Grid(F(0), F(1), 16)).eps == F(1, 8)

@@ -1,8 +1,14 @@
-"""The README's API example runs and prints what its comments say."""
+"""The README's promises hold: its API example runs and prints what its
+comments say, and the package has no floats anywhere."""
 
+import ast
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+MODULES = sorted((ROOT / "src" / "chainposet").glob("*.py"))
 
 
 def _python_block(heading: str) -> str:
@@ -16,3 +22,15 @@ def test_quick_start_api(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "9"
     assert lines[-1] == "True"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floats_in_the_package(path):
+    # a float literal or a call to float() anywhere in the source
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+    ]
+    assert not found, f"{path.name}: floats on lines {found}"

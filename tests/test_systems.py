@@ -34,7 +34,6 @@ from chainposet.systems import (
     OrdinalMap,
     Variant,
     _block_index,
-    _eval_index,
     _step_values_on,
     cantor_gaps,
     dense_blocks,
@@ -77,6 +76,15 @@ class TestMakers:
         specs = {OrdinalMap(ZERO), OrdinalMap(ONE), OrdinalMap(OMEGA), CantorExample(2),
                  DenseBlocks(1, Variant.NO_MAX), Conjugated(OrdinalMap(ONE), SAMPLE_HOMEO)}
         assert len(specs) == 6
+
+    def test_evaluate_refuses_floats(self):
+        # 0.1 as a float is a binary fraction, not 1/10
+        assert evaluate(OrdinalMap(ONE), 1) == evaluate(OrdinalMap(ONE), "1/1") == F(1)
+        assert evaluate(OrdinalMap(ONE), "1/10") == F(1, 100)
+        with pytest.raises(TypeError):
+            evaluate(OrdinalMap(ONE), 0.1)
+        with pytest.raises(TypeError):
+            evaluate(Conjugated(CantorExample(1), SAMPLE_HOMEO), 0.5)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -173,7 +181,7 @@ class TestDescentBudget:
         def finishes(budget):
             monkeypatch.setattr(systems, "MAX_DESCENT_STEPS", budget)
             try:
-                _eval_index.__wrapped__(index, x)
+                evaluate(OrdinalMap(index), x)
             except DescentBudgetError:
                 return False
             return True
@@ -185,9 +193,11 @@ class TestDescentBudget:
     @pytest.mark.parametrize("index", ["w^(w^2)", "w^(w)+w^2*3", "w^3*2+w+5", "40"])
     def test_grid_error_names_the_leftmost_point(self, monkeypatch, index, budget):
         # the grid descends all its points at once, yet fails as evaluating
-        # them one by one from the left does
+        # them one by one from the left does; so does a conjugated grid,
+        # whose pulled-back points descend at once
         monkeypatch.setattr(systems, "MAX_DESCENT_STEPS", budget)
-        spec, grid = OrdinalMap(parse_ordinal(index)), Grid(F(0), F(1), 333)
+        grid = Grid(F(0), F(1), 333)
+        inner = OrdinalMap(parse_ordinal(index))
 
         def outcome(values):
             try:
@@ -195,8 +205,9 @@ class TestDescentBudget:
             except DescentBudgetError as e:
                 return str(e)
 
-        want = outcome(lambda: [_eval_index.__wrapped__(spec.index, x) for x in grid.points()])
-        assert outcome(lambda: grid_values(spec, grid)) == want
+        for spec in (inner, Conjugated(inner, SAMPLE_HOMEO)):
+            want = outcome(lambda: [evaluate(spec, x) for x in grid.points()])
+            assert outcome(lambda: grid_values(spec, grid)) == want
 
 
 class TestCantorExample:
@@ -318,6 +329,13 @@ class TestHomeo:
             make_homeo([(0, 0), (F(1, 2), F(1, 2))])
         with pytest.raises(ValueError):
             make_homeo([(0, 0), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), (1, 1)])
+
+    def test_refuses_floats(self):
+        assert make_homeo([(0, 0), ("1/3", F(1, 2)), (1, 1)]) == SAMPLE_HOMEO
+        with pytest.raises(TypeError):
+            make_homeo([(0, 0), (0.5, F(1, 2)), (1, 1)])
+        with pytest.raises(TypeError):
+            make_homeo([(0, 0), (F(1, 3), 0.5), (1, 1)])
 
     def test_rejects_outside_unit(self):
         for x in (F(-1, 3), F(4, 3)):
@@ -441,6 +459,14 @@ def reference_eval_index(index: Ordinal, x: F):
         x = (x - a_n) * block
         index = _block_index(head, tail_exp, n)
     return None
+
+
+# The middle-third dip, found by a scan of the gaps instead of a bisection.
+def reference_eval_cantor(depth: int, x: F) -> F:
+    for l, r in cantor_gaps(depth):
+        if l < x < r:
+            return x - (x - l) * (r - x)
+    return x
 
 
 def reference_pl_apply(points, x: F) -> F:
@@ -642,7 +668,7 @@ class TestAgainstFractionReference:
     def test_eval_index_matches(self, index, x):
         want = reference_eval_index(index, x)
         assume(want is not None)
-        assert _eval_index.__wrapped__(index, x) == want
+        assert evaluate(OrdinalMap(index), x) == want
 
     @settings(max_examples=200, deadline=None)
     @given(pl_homeos(), unit_rationals)
@@ -653,12 +679,29 @@ class TestAgainstFractionReference:
         assert h.invert(x) == reference_pl_apply(back, x)
         assert h.invert(y) == x
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.one_of(indices_up_to_w_w2(), tailed_indices), grids_in_unit())
-    def test_grid_values_match(self, index, grid):
-        want = [reference_eval_index(index, x) for x in grid.points()]
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(indices_up_to_w_w2(), tailed_indices),
+        st.integers(1, 6),
+        st.booleans(),
+        st.one_of(st.none(), pl_homeos()),
+        grids_in_unit(),
+    )
+    def test_grid_values_match(self, index, depth, cantor, h, grid):
+        # an ordinal or middle-thirds map, bare or conjugated by h
+        if cantor:
+            spec, ref = CantorExample(depth), lambda x: reference_eval_cantor(depth, x)
+        else:
+            spec, ref = OrdinalMap(index), lambda x: reference_eval_index(index, x)
+        xs = grid.points()
+        if h is not None:
+            spec = Conjugated(spec, h)
+            xs = [reference_pl_apply(tuple((b, a) for a, b in h.points), x) for x in xs]
+        want = [ref(x) for x in xs]
         assume(None not in want)
-        assert grid_values(OrdinalMap(index), grid) == want
+        if h is not None:
+            want = [reference_pl_apply(h.points, y) for y in want]
+        assert grid_values(spec, grid) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
