@@ -30,7 +30,6 @@ from .systems import (
     image_intervals,
     is_increasing,
     is_open,
-    make_homeo,
     predicted_label,
     predicted_representatives,
 )
@@ -48,10 +47,8 @@ from .chaingraph import (
     cell_images,
     chain_components,
     condense,
-    constant_field,
     dump_adjacency,
     grid_for,
-    piecewise_field,
     reaches_recurrent,
     recurrent_cells,
     strongly_connected_components,

@@ -29,6 +29,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .systems import (
     SystemSpec,
+    _PLTable,
+    _pl_apply,
+    _pl_table,
     evaluate,
     image_intervals,
     is_increasing,
@@ -54,6 +57,8 @@ class Grid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", to_fraction(self.lo))
         object.__setattr__(self, "hi", to_fraction(self.hi))
+        if not isinstance(self.n, int):
+            raise TypeError(f"cell count must be an int, got {self.n!r}")
         if not self.lo < self.hi:
             raise ChainGraphError("grid must have positive length")
         if not 1 <= self.n <= MAX_CELLS:
@@ -94,6 +99,7 @@ class ConstantField:
     eps: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eps", to_fraction(self.eps))
         if not self.eps > 0:
             raise ChainGraphError("slack must be positive")
 
@@ -111,7 +117,8 @@ class PiecewiseField:
     points: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        pts = self.points
+        pts = tuple((to_fraction(x), to_fraction(v)) for x, v in self.points)
+        object.__setattr__(self, "points", pts)
         if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 1:
             raise ChainGraphError("slack breakpoints must span [0, 1]")
         for (x1, _), (x2, _) in zip(pts, pts[1:]):
@@ -120,14 +127,12 @@ class PiecewiseField:
         if any(v <= 0 for _, v in pts):
             raise ChainGraphError("slack must be positive")
 
+    @cached_property
+    def _table(self) -> _PLTable:
+        return _pl_table(self.points)
+
     def value(self, x: Fraction) -> Fraction:
-        pts = self.points
-        if not 0 <= x <= 1:
-            raise ChainGraphError("slack queried outside [0, 1]")
-        for (x1, v1), (x2, v2) in zip(pts, pts[1:]):
-            if x <= x2:
-                return v1 + (x - x1) * (v2 - v1) / (x2 - x1)
-        return pts[-1][1]
+        return _pl_apply(self._table, x)
 
     def _over(self, a: Fraction, b: Fraction) -> List[Fraction]:
         vals = [self.value(a), self.value(b)]
@@ -143,14 +148,6 @@ class PiecewiseField:
 
 
 EpsilonField = Union[ConstantField, PiecewiseField]
-
-
-def constant_field(eps) -> ConstantField:
-    return ConstantField(to_fraction(eps))
-
-
-def piecewise_field(points) -> PiecewiseField:
-    return PiecewiseField(tuple((to_fraction(x), to_fraction(v)) for x, v in points))
 
 
 def auto_field(grid: Grid) -> ConstantField:

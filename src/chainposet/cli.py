@@ -50,22 +50,18 @@ from .systems import (
 )
 
 
-def _fr(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 # analysis driver
 
 
 def _pairs_echo(points) -> List[List[str]]:
-    return [[_fr(a), _fr(b)] for a, b in points]
+    return [[str(a), str(b)] for a, b in points]
 
 
 def _eps_echo(eps: Optional[EpsilonField]):
     if eps is None:
         return "auto"
     if isinstance(eps, ConstantField):
-        return _fr(eps.eps)
+        return str(eps.eps)
     return _pairs_echo(eps.points)
 
 
@@ -100,8 +96,8 @@ class RunArtifacts:
 def _components_section(cond: Condensation, poset: ComponentPoset) -> Dict:
     out: Dict = {
         "count": len(poset),
-        "representatives": [_fr(c.representative) for c in poset.components],
-        "spans": [[_fr(c.span[0]), _fr(c.span[1])] for c in poset.components],
+        "representatives": [str(c.representative) for c in poset.components],
+        "spans": [[str(c.span[0]), str(c.span[1])] for c in poset.components],
         "pairs": sorted([a, b] for a, b in poset.pairs),
         "linear": is_linear(poset),
         "minimal": list(minimal_elements(poset)),
@@ -122,14 +118,15 @@ def _match_tolerance(graph: ChainGraph) -> Fraction:
 def _level_head(n: int, spec: SystemSpec) -> Dict:
     """What opens every level entry: the resolution, and the family depth
     when the spec has one."""
-    depth = getattr(spec, "depth", None)
+    inner = spec.inner if isinstance(spec, Conjugated) else spec
+    depth = getattr(inner, "depth", None)
     return {"n": n} if depth is None else {"n": n, "depth": depth}
 
 
 def _prediction(spec: SystemSpec, width: Fraction) -> Dict:
     return {
         "label": predicted_label(spec),
-        "representatives": [_fr(x) for x in predicted_representatives(spec, width)],
+        "representatives": [str(x) for x in predicted_representatives(spec, width)],
     }
 
 
@@ -159,7 +156,7 @@ def _conjugacy_level(
         # k -> k is the only candidate map, so the verdict is always decided
         "exact": True,
         "representatives_aligned": aligned,
-        "tolerance": _fr(tol),
+        "tolerance": str(tol),
     }
 
 
@@ -181,7 +178,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
         lo, hi = graph.eps.bounds(graph.grid.lo, graph.grid.hi)
         entry: Dict = {
             **_level_head(n, spec),
-            "eps_bounds": [_fr(lo), _fr(hi)],
+            "eps_bounds": [str(lo), str(hi)],
             "components": _components_section(cond, poset),
             "predicted": _prediction(spec, graph.grid.width),
         }
@@ -191,7 +188,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
             assignment = synthesize(cond)
             certification = verify(assignment, graph)
             entry["lyapunov"] = {
-                "component_values": [_fr(v) for v in assignment.component_values],
+                "component_values": [str(v) for v in assignment.component_values],
                 "certified": certification.all_passed,
                 "checks": [
                     {"name": c.name, "passed": c.passed} for c in certification.checks
@@ -230,7 +227,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
             tol = _match_tolerance(coarse_graph)
             m = match_components(coarse, fine, tolerance=tol)
             matches.append(list(m))
-            tolerances.append(_fr(tol))
+            tolerances.append(str(tol))
             all_matched = all_matched and all(k is not None for k in m)
         report["refine"] = {
             "matches": matches,
@@ -252,7 +249,7 @@ def run_full(config: AnalysisConfig, seedless: bool = False) -> RunArtifacts:
                 "persistent_pairs": [
                     {
                         "first_pair": list(p.first_pair),
-                        "gap": [_fr(p.gap[0]), _fr(p.gap[1])],
+                        "gap": [str(p.gap[0]), str(p.gap[1])],
                     }
                     for p in sig.persistent_pairs
                 ],

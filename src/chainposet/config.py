@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chaingraph import EpsilonField, constant_field, piecewise_field
+from .chaingraph import ConstantField, EpsilonField, PiecewiseField
 from .ordinal import Ordinal, OrdinalSyntaxError, parse_ordinal
 from .systems import (
     CantorExample,
@@ -19,7 +19,6 @@ from .systems import (
     PLHomeo,
     SystemSpec,
     Variant,
-    make_homeo,
 )
 
 KNOWN_TASKS = ("components", "lyapunov", "refine", "signature", "conjugacy")
@@ -196,7 +195,7 @@ def _system(
         text, line = got
         points = _pair_list(text, line)
         try:
-            homeo = make_homeo(points)
+            homeo = PLHomeo(points)
         except ValueError as e:
             raise ConfigError(f"bad homeomorphism: {e}", line) from None
     if kind == "conjugated" and homeo is None:
@@ -249,14 +248,14 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
         if text.startswith("["):
             points = _pair_list(text, line)
             try:
-                eps = piecewise_field(points)
+                eps = PiecewiseField(points)
             except ValueError as e:
                 raise ConfigError(f"bad eps field: {e}", line) from None
         elif text != "auto":
             value = _rational(text, line)
             if value <= 0:
                 raise ConfigError("eps must be positive", line)
-            eps = constant_field(value)
+            eps = ConstantField(value)
 
     tasks: Tuple[str, ...] = ("components",)
     got = raw.pop("tasks", None)

@@ -72,6 +72,8 @@ class CantorExample:
     depth: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.depth, int):
+            raise TypeError(f"depth must be an int, got {self.depth!r}")
         if not 1 <= self.depth <= MAX_FAMILY_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_FAMILY_DEPTH}")
 
@@ -82,6 +84,8 @@ class DenseBlocks:
     variant: Variant = Variant.WITH_MAX
 
     def __post_init__(self) -> None:
+        if not isinstance(self.depth, int):
+            raise TypeError(f"depth must be an int, got {self.depth!r}")
         if not 0 <= self.depth <= MAX_FAMILY_DEPTH:
             raise ValueError(f"depth must be in 0..{MAX_FAMILY_DEPTH}")
 
@@ -93,10 +97,11 @@ class PLHomeo:
     points: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        pts = self.points
+        pts = tuple((to_fraction(x), to_fraction(y)) for x, y in self.points)
+        object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
-        if pts[0] != (Fraction(0), Fraction(0)) or pts[-1] != (Fraction(1), Fraction(1)):
+        if pts[0] != (0, 0) or pts[-1] != (1, 1):
             raise ValueError("must fix 0 and 1")
         for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
             if not (x1 < x2 and y1 < y2):
@@ -151,10 +156,6 @@ def to_fraction(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError(f"{v!r} is a float; give an int, a Fraction or a 'p/q' string")
     return Fraction(v)
-
-
-def make_homeo(points) -> PLHomeo:
-    return PLHomeo(tuple((to_fraction(a), to_fraction(b)) for a, b in points))
 
 
 @dataclass(frozen=True)

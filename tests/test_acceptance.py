@@ -11,12 +11,12 @@ import time
 from fractions import Fraction as F
 
 from chainposet.chaingraph import (
+    ConstantField,
+    PiecewiseField,
     build_chain_graph,
     chain_components,
     condense,
-    constant_field,
     grid_for,
-    piecewise_field,
     reaches_recurrent,
     recurrent_cells,
 )
@@ -35,9 +35,9 @@ from chainposet.systems import (
     Conjugated,
     DenseBlocks,
     OrdinalMap,
+    PLHomeo,
     Variant,
     dense_blocks,
-    make_homeo,
     predicted_representatives,
 )
 
@@ -76,7 +76,7 @@ def bundled_systems():
         ("dense_with_max", DenseBlocks(2, Variant.WITH_MAX)),
         ("dense_no_max", DenseBlocks(2, Variant.NO_MAX)),
         ("dense_open", DenseBlocks(2, Variant.OPEN_INTERVAL)),
-        ("conjugated", Conjugated(OrdinalMap(parse_ordinal("2")), make_homeo(SAMPLE_HOMEO))),
+        ("conjugated", Conjugated(OrdinalMap(parse_ordinal("2")), PLHomeo(SAMPLE_HOMEO))),
     )
 
 
@@ -98,7 +98,7 @@ def test_01_square_two_component_chain():
     # linearly ordered, in under 5 seconds
     t0 = time.monotonic()
     spec = OrdinalMap(ONE)
-    graph = build_chain_graph(spec, grid_for(spec, 1024), constant_field(F(2, 1024)))
+    graph = build_chain_graph(spec, grid_for(spec, 1024), ConstantField(F(2, 1024)))
     poset = chain_components(condense(graph))
     elapsed = time.monotonic() - t0
     assert len(poset) == 2
@@ -155,7 +155,7 @@ def test_04_dense_blocks_exactness():
     # comparabilities agree with position, no upward condensation edges
     t0 = time.monotonic()
     spec = DenseBlocks(3, Variant.WITH_MAX)
-    graph = build_chain_graph(spec, grid_for(spec, 4096), constant_field(F(1, 2048)))
+    graph = build_chain_graph(spec, grid_for(spec, 4096), ConstantField(F(1, 2048)))
     poset = chain_components(condense(graph))
     elapsed = time.monotonic() - t0
     lefts = [lo for lo, _ in dense_blocks(Variant.WITH_MAX, 3)]
@@ -206,7 +206,7 @@ def test_06_recurrence_and_minimal_elements():
     for name, spec in bundled_systems():
         for n in (256, 1024):
             grid = grid_for(spec, n)
-            for field in (None, constant_field(3 * grid.width)):
+            for field in (None, ConstantField(3 * grid.width)):
                 graph = build_chain_graph(spec, grid, field)
                 assert recurrent_cells(condense(graph)), name
                 assert all(reaches_recurrent(condense(graph))), name
@@ -230,7 +230,7 @@ def test_08_conjugacy_invariance():
     # the piecewise-linear change of coordinates through (1/3, 1/2)
     # preserves the order and moves representatives with it
     base = OrdinalMap(parse_ordinal("2"))
-    h = make_homeo(SAMPLE_HOMEO)
+    h = PLHomeo(SAMPLE_HOMEO)
     twin = Conjugated(base, h)
     graph_f = build_chain_graph(base, grid_for(base, 1024))
     graph_g = build_chain_graph(twin, grid_for(twin, 1024))
@@ -252,17 +252,17 @@ def test_09_variable_slack_sandwich():
     # the two constant builds; a flat field is bit-identical to constant
     spec = OrdinalMap(parse_ordinal("2"))
     grid = grid_for(spec, 1024)
-    lo = build_chain_graph(spec, grid, constant_field(F(1, 1024)))
-    hi = build_chain_graph(spec, grid, constant_field(F(4, 1024)))
+    lo = build_chain_graph(spec, grid, ConstantField(F(1, 1024)))
+    hi = build_chain_graph(spec, grid, ConstantField(F(4, 1024)))
     mid = build_chain_graph(
-        spec, grid, piecewise_field(((F(0), F(1, 1024)), (F(1), F(4, 1024))))
+        spec, grid, PiecewiseField(((F(0), F(1, 1024)), (F(1), F(4, 1024))))
     )
     assert is_edge_subset(lo, mid)
     assert is_edge_subset(mid, hi)
     flat = build_chain_graph(
-        spec, grid, piecewise_field(((F(0), F(2, 1024)), (F(1), F(2, 1024))))
+        spec, grid, PiecewiseField(((F(0), F(2, 1024)), (F(1), F(2, 1024))))
     )
-    const = build_chain_graph(spec, grid, constant_field(F(2, 1024)))
+    const = build_chain_graph(spec, grid, ConstantField(F(2, 1024)))
     assert flat.adjacency == const.adjacency
 
 

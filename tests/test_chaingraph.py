@@ -20,10 +20,8 @@ from chainposet.chaingraph import (
     build_chain_graph,
     chain_components,
     condense,
-    constant_field,
     dump_adjacency,
     grid_for,
-    piecewise_field,
     reaches_recurrent,
     recurrent_cells,
     strongly_connected_components,
@@ -34,10 +32,10 @@ from chainposet.systems import (
     Conjugated,
     DenseBlocks,
     OrdinalMap,
+    PLHomeo,
     Variant,
     evaluate,
     is_open,
-    make_homeo,
 )
 
 from oracles import is_edge_subset
@@ -63,7 +61,7 @@ FAMILY_SPECS = [
     DenseBlocks(3, Variant.NO_MAX),
     DenseBlocks(3, Variant.OPEN_INTERVAL),
 ]
-BENT_HOMEO = make_homeo([(0, 0), (F(2, 7), F(1, 2)), (F(5, 8), F(3, 5)), (1, 1)])
+BENT_HOMEO = PLHomeo([(0, 0), (F(2, 7), F(1, 2)), (F(5, 8), F(3, 5)), (1, 1)])
 ENCLOSURE_SPECS = FAMILY_SPECS + [Conjugated(s, BENT_HOMEO) for s in FAMILY_SPECS]
 
 
@@ -151,43 +149,50 @@ class TestGrid:
             Grid(0.0, F(1), 3)
         with pytest.raises(TypeError):
             Grid(F(0), 1.0, 3)
+        with pytest.raises(TypeError):
+            Grid(0, 1, 4.0)
 
 
 class TestFields:
     def test_constant(self):
-        f = constant_field(F(1, 4))
+        f = ConstantField(F(1, 4))
         assert f.sup_over(F(0), F(1)) == F(1, 4)
         assert f.bounds(F(0), F(1)) == (F(1, 4), F(1, 4))
         with pytest.raises(ChainGraphError):
-            constant_field(0)
+            ConstantField(0)
 
     def test_piecewise_interpolation(self):
-        f = piecewise_field([(0, 1), (F(1, 2), 3), (1, 2)])
+        f = PiecewiseField([(0, 1), (F(1, 2), 3), (1, 2)])
         assert f.value(F(1, 4)) == F(2)
         assert f.value(F(3, 4)) == F(5, 2)
         assert f.sup_over(F(1, 4), F(3, 4)) == F(3)
         assert f.bounds(F(1, 4), F(3, 4)) == (F(2), F(3))
         assert f.sup_over(F(0), F(1, 4)) == F(2)
+        with pytest.raises(ValueError):
+            f.value(F(3, 2))
 
     def test_piecewise_validation(self):
         with pytest.raises(ChainGraphError):
-            piecewise_field([(0, 1)])
+            PiecewiseField([(0, 1)])
         with pytest.raises(ChainGraphError):
-            piecewise_field([(0, 1), (F(1, 2), 0), (1, 1)])
+            PiecewiseField([(0, 1), (F(1, 2), 0), (1, 1)])
         with pytest.raises(ChainGraphError):
-            piecewise_field([(F(1, 4), 1), (1, 1)])
+            PiecewiseField([(F(1, 4), 1), (1, 1)])
 
     def test_constant_refuses_floats(self):
-        assert constant_field(1).eps == constant_field("1/1").eps == F(1)
+        assert ConstantField(1).eps == ConstantField("1/1").eps == F(1)
         with pytest.raises(TypeError):
-            constant_field(0.01)
+            ConstantField(0.01)
+        assert isinstance(ConstantField(1).eps, F)
 
     def test_piecewise_refuses_floats(self):
-        assert piecewise_field([(0, "1/2"), (1, F(1, 2))]).points == ((0, F(1, 2)), (1, F(1, 2)))
+        assert PiecewiseField([(0, "1/2"), (1, F(1, 2))]).points == ((0, F(1, 2)), (1, F(1, 2)))
         with pytest.raises(TypeError):
-            piecewise_field([(0, 1), (1, 0.5)])
+            PiecewiseField([(0, 1), (1, 0.5)])
         with pytest.raises(TypeError):
-            piecewise_field([(0.0, 1), (1, 1)])
+            PiecewiseField([(0.0, 1), (1, 1)])
+        # exact where floats would give 0.15000000000000002
+        assert PiecewiseField(((0, "1/10"), (1, "1/5"))).sup_over(0, F(1, 2)) == F(3, 20)
 
     def test_auto_slack_is_two_cells(self):
         assert auto_field(Grid(F(0), F(1), 16)).eps == F(1, 8)
@@ -195,13 +200,13 @@ class TestFields:
 
 class TestEdges:
     def test_identity_reaches_neighbours(self):
-        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 8), constant_field(F(1, 8)))
+        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 8), ConstantField(F(1, 8)))
         for i, row in enumerate(g.adjacency):
             want = tuple(j for j in (i - 1, i, i + 1) if 0 <= j < 8)
             assert row == want
 
     def test_square_coarse_rows(self):
-        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 4), constant_field(F(1, 4)))
+        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 4), ConstantField(F(1, 4)))
         assert g.adjacency[3] == (1, 2, 3)
         assert g.adjacency[0] == (0, 1)
 
@@ -209,14 +214,14 @@ class TestEdges:
         # cells strictly between blocks map to 0, so they reach exactly the
         # cells within slack of 0, and never themselves
         spec = DenseBlocks(1, Variant.WITH_MAX)
-        g = build_chain_graph(spec, Grid(F(0), F(1), 32), constant_field(F(3, 32)))
+        g = build_chain_graph(spec, Grid(F(0), F(1), 32), ConstantField(F(3, 32)))
         assert g.adjacency[9] == (0, 1, 2)
         assert g.adjacency[21] == (0, 1, 2)
 
     def test_self_edge_requires_image_overlap(self):
         n = 1024
         g = build_chain_graph(
-            OrdinalMap(ONE), Grid(F(0), F(1), n), constant_field(F(2, n))
+            OrdinalMap(ONE), Grid(F(0), F(1), n), ConstantField(F(2, n))
         )
         # image of cell 1020 ends 2039/2^20 below the cell, within slack,
         # but a within-slack miss must not count as recurrence
@@ -238,7 +243,7 @@ class TestEdges:
         # are apart objects
         n = 1024
         for spec in (OrdinalMap(ZERO), OrdinalMap(OMEGA)):
-            g = build_chain_graph(spec, Grid(F(0), F(1), n), constant_field(F(4, n)))
+            g = build_chain_graph(spec, Grid(F(0), F(1), n), ConstantField(F(4, n)))
             first = {}
             for row in g.adjacency:
                 for j in row:
@@ -248,10 +253,10 @@ class TestEdges:
     def test_edge_budget_guard(self, monkeypatch):
         monkeypatch.setattr(cg, "MAX_EDGES", 64)
         with pytest.raises(ChainGraphError):
-            build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 32), constant_field(F(1)))
+            build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 32), ConstantField(F(1)))
 
     def test_dump_format(self):
-        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 2), constant_field(F(1, 4)))
+        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 2), ConstantField(F(1, 4)))
         assert dump_adjacency(g) == "0: 0 1\n1: 0 1\n"
 
     @given(
@@ -272,15 +277,15 @@ class TestEdges:
     @settings(max_examples=40, deadline=None)
     def test_flat_piecewise_field_matches_constant(self, spec, n):
         grid = grid_for(spec, n)
-        flat = piecewise_field([(0, F(1, 16)), (F(1, 3), F(1, 16)), (1, F(1, 16))])
-        const = constant_field(F(1, 16))
+        flat = PiecewiseField([(0, F(1, 16)), (F(1, 3), F(1, 16)), (1, F(1, 16))])
+        const = ConstantField(F(1, 16))
         g1 = build_chain_graph(spec, grid, flat)
         g2 = build_chain_graph(spec, grid, const)
         assert g1.adjacency == g2.adjacency
 
     def test_variable_slack_widens_edges_locally(self):
         grid = Grid(F(0), F(1), 16)
-        field = piecewise_field([(0, F(1, 16)), (1, F(5, 16))])
+        field = PiecewiseField([(0, F(1, 16)), (1, F(5, 16))])
         g = build_chain_graph(OrdinalMap(ZERO), grid, field)
         assert g.adjacency[0] == (0, 1, 2)
         assert g.adjacency[15] == tuple(range(10, 16))
@@ -306,7 +311,7 @@ class TestEnclosureSoundness:
     @settings(max_examples=200, deadline=None)
     def test_true_steps_are_edges(self, spec, n, slack, random_points):
         grid = grid_for(spec, n)
-        g = build_chain_graph(spec, grid, constant_field(slack * grid.width))
+        g = build_chain_graph(spec, grid, ConstantField(slack * grid.width))
         probes = [(i, t) for i in range(n) for t in (F(0), F(1, 2), F(1))]
         probes += [(k % n, t) for k, t in random_points]
         for i, t in probes:
@@ -380,7 +385,7 @@ class TestComponents:
                 assert ((ka, kb) in poset.pairs) == flows_down
 
     def test_identity_is_one_big_component(self):
-        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 8), constant_field(F(1, 8)))
+        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 8), ConstantField(F(1, 8)))
         poset = chain_components(condense(g))
         assert len(poset) == 1
         assert poset.components[0].cells == tuple(range(8))
@@ -388,7 +393,7 @@ class TestComponents:
 
     def test_square_two_bands(self):
         n = 1024
-        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), n), constant_field(F(2, n)))
+        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), n), ConstantField(F(2, n)))
         poset = chain_components(condense(g))
         assert [c.cells for c in poset.components] == [(0, 1, 2), (1021, 1022, 1023)]
         assert poset.pairs == frozenset({(0, 1)})
@@ -397,7 +402,7 @@ class TestComponents:
         assert all(reaches_recurrent(condense(g)))
 
     def test_condensation_recurrent_flags(self):
-        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 16), constant_field(F(1, 8)))
+        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 16), ConstantField(F(1, 8)))
         cond = condense(g)
         for c, members in enumerate(cond.members):
             on_cycle = any(i in bfs_reachable(g.adjacency, i) for i in members)

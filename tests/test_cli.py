@@ -30,9 +30,9 @@ from chainposet.systems import (
     Conjugated,
     DenseBlocks,
     OrdinalMap,
+    PLHomeo,
     Variant,
     evaluate,
-    make_homeo,
     predicted_label,
     predicted_representatives,
 )
@@ -204,7 +204,7 @@ class TestPredict:
         assert {F(0), F(1, 3), F(2, 3), F(1)} <= set(reps)
 
     def test_conjugated_representatives(self):
-        spec = Conjugated(OrdinalMap(parse_ordinal("2")), make_homeo(SAMPLE_HOMEO))
+        spec = Conjugated(OrdinalMap(parse_ordinal("2")), PLHomeo(SAMPLE_HOMEO))
         reps = predicted_representatives(spec, F(1, 64))
         assert reps == (F(0), F(5, 8), F(1))
         assert predicted_label(spec) == "3"
@@ -487,14 +487,14 @@ class TestMain:
             (
                 CONJUGATED_DENSE,
                 1,
-                "2271e95a171d5f724d4a5c7c77d5351caeac85e76f5e755ade46545ee5b71fe0",
-                "1f9f08c32e444f28cd9eb0869e54877690ab853662b82f2f746339a4c0827b16",
+                "7cab9fc5416c81371b1801c068dca08d988f76a1e78b90a9e95a54c2e9fd865f",
+                "4db8d9c85730a75446117a5b73d0ddc44fa9d0525df08b3528bb54734704a607",
             ),
             (
                 CONJUGATED_CANTOR,
                 0,
-                "94d1be5f867ba0c2bc2a6b86d80450dfc593f8f7079d45032039c33b4d350a7e",
-                "5a392757d8e3766782d329b962a4b12ca1026b30a7dc5842af85f2e6c834ec95",
+                "720d1b0998cb8b78b27985273531370fe467e60d2750fa9ddbd5b1112794edd1",
+                "497132da5385d104d3719306e6aacf0077073a152dbaef7739a696c706798d7d",
             ),
         ],
         ids=["conjugated_dense", "conjugated_cantor"],
@@ -510,6 +510,11 @@ class TestMain:
             assert main(argv) == status
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_conjugated_levels_carry_depth(self):
+        for text, depths in ((CONJUGATED_DENSE, [2, 2]), (CONJUGATED_CANTOR, [1, 2])):
+            levels = predict_report(parse_config(text))["levels"]
+            assert [level["depth"] for level in levels] == depths
 
     @pytest.mark.parametrize(
         "name, digest",

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainposet.chaingraph import (
+    ConstantField,
     Grid,
     build_chain_graph,
     chain_components,
     condense,
-    constant_field,
     grid_for,
 )
 from chainposet.lyapunov import (
@@ -83,7 +83,7 @@ class TestMembership:
 
 class TestSynthesize:
     def test_values_follow_the_flow_for_square(self):
-        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 64), constant_field(F(1, 32)))
+        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 64), ConstantField(F(1, 32)))
         assignment = synthesize(condense(g))
         poset = chain_components(condense(g))
         bottom = poset.components[0].cells[0]
@@ -95,19 +95,19 @@ class TestSynthesize:
         assert assignment.cell_values[mid] < assignment.cell_values[top]
 
     def test_ranks_are_a_permutation(self):
-        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 32), constant_field(F(1, 16)))
+        g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 32), ConstantField(F(1, 16)))
         assignment = synthesize(condense(g))
         assert sorted(assignment.ranks) == list(range(len(assignment.ranks)))
 
     def test_constant_on_components(self):
-        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 16), constant_field(F(1, 16)))
+        g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 16), ConstantField(F(1, 16)))
         assignment = synthesize(condense(g))
         assert len(set(assignment.cell_values)) == 1
 
     @given(st.sampled_from(CLOSED_SPECS), st.integers(8, 48), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
     def test_certification_passes(self, spec, n, a):
-        g = build_chain_graph(spec, grid_for(spec, n), constant_field(F(a, 32)))
+        g = build_chain_graph(spec, grid_for(spec, n), ConstantField(F(a, 32)))
         report = verify(synthesize(condense(g)), g)
         assert report.all_passed, [c for c in report.checks if not c.passed]
 
@@ -115,7 +115,7 @@ class TestSynthesize:
 class TestVerifyCatchesViolations:
     def graph(self):
         return build_chain_graph(
-            OrdinalMap(ONE), Grid(F(0), F(1), 16), constant_field(F(1, 8))
+            OrdinalMap(ONE), Grid(F(0), F(1), 16), ConstantField(F(1, 8))
         )
 
     def test_broken_constancy(self):
@@ -171,7 +171,7 @@ class TestVerifyCatchesViolations:
 
     def ordinal_graph(self):
         spec = OrdinalMap(Ordinal.from_int(2))
-        g = build_chain_graph(spec, grid_for(spec, 8), constant_field(F(1, 64)))
+        g = build_chain_graph(spec, grid_for(spec, 8), ConstantField(F(1, 64)))
         assert g.adjacency == (
             (0,), (0, 1), (0, 1, 2), (2, 3, 4), (3, 4), (4, 5), (5, 6), (6, 7)
         )
@@ -231,7 +231,7 @@ class TestVerifyCatchesViolations:
     def test_grid_mismatch_rejected(self):
         g = self.graph()
         other = build_chain_graph(
-            OrdinalMap(ONE), Grid(F(0), F(1), 8), constant_field(F(1, 8))
+            OrdinalMap(ONE), Grid(F(0), F(1), 8), ConstantField(F(1, 8))
         )
         with pytest.raises(ValueError):
             verify(synthesize(condense(other)), g)

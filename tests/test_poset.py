@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from chainposet.chaingraph import (
     Component,
     ComponentPoset,
+    ConstantField,
     Grid,
     build_chain_graph,
     chain_components,
     condense,
-    constant_field,
     grid_for,
 )
 from chainposet.poset import (
@@ -169,7 +169,7 @@ class TestDot:
 class TestLadderChain:
     def test_plateau_ladder_is_a_five_chain(self):
         spec = DenseBlocks(2, Variant.WITH_MAX)
-        g = build_chain_graph(spec, Grid(F(0), F(1), 64), constant_field(F(3, 64)))
+        g = build_chain_graph(spec, Grid(F(0), F(1), 64), ConstantField(F(3, 64)))
         poset = chain_components(condense(g))
         assert [c.cells for c in poset.components] == [
             (0, 1, 2),
@@ -184,7 +184,7 @@ class TestLadderChain:
 
     def test_ladder_dual_reverses(self):
         spec = DenseBlocks(2, Variant.WITH_MAX)
-        g = build_chain_graph(spec, Grid(F(0), F(1), 64), constant_field(F(3, 64)))
+        g = build_chain_graph(spec, Grid(F(0), F(1), 64), ConstantField(F(3, 64)))
         poset = chain_components(condense(g))
         rev = dual(poset)
         assert linear_order_type(rev) == (4, 3, 2, 1, 0)

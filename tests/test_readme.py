@@ -1,10 +1,14 @@
 """The README's promises hold: its API example runs and prints what its
-comments say, and the package has no floats anywhere."""
+comments say, the names it documents import, and the package has no floats
+anywhere."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import chainposet
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -22,6 +26,34 @@ def test_quick_start_api(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "9"
     assert lines[-1] == "True"
+
+
+def _documented_names():
+    """Backticked names in the module table's second column, and the entry
+    points the float paragraph lists; code that is not a name, such as
+    `(lo, hi)`, is skipped, and `Ordinal(...)` counts as `Ordinal`."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| module ", 1)[1].split("\n\n", 1)[0]
+    cells = [row.split("|")[2] for row in table.splitlines()[2:]]
+    floats = re.search(r"The entry points that take numbers are (.+?)\.\s", text, re.S)
+    assert cells and floats, "README layout changed"
+    tokens = re.findall(r"`([^`]+)`", " ".join([*cells, floats.group(1)]))
+    return [
+        m.group(1) for t in tokens
+        if (m := re.fullmatch(r"([A-Za-z_][\w.]*)(\(\.\.\.\))?", t))
+    ]
+
+
+def test_documented_names_import():
+    # a dotted name resolves through the package: `cli.main` is chainposet.cli.main
+    missing = []
+    for name in _documented_names():
+        obj = chainposet
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, f"not importable from chainposet: {missing}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

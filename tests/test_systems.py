@@ -32,6 +32,7 @@ from chainposet.systems import (
     DenseBlocks,
     DescentBudgetError,
     OrdinalMap,
+    PLHomeo,
     Variant,
     _block_index,
     _step_values_on,
@@ -41,14 +42,13 @@ from chainposet.systems import (
     image_intervals,
     is_increasing,
     is_open,
-    make_homeo,
     predicted_label,
     predicted_representatives,
 )
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
-SAMPLE_HOMEO = make_homeo([(0, 0), (F(1, 3), F(1, 2)), (1, 1)])
+SAMPLE_HOMEO = PLHomeo([(0, 0), (F(1, 3), F(1, 2)), (1, 1)])
 
 
 def small_ordinal_maps() -> st.SearchStrategy:
@@ -220,6 +220,10 @@ class TestCantorExample:
         )
         assert len(cantor_gaps(3)) == 7
 
+    def test_float_depth_is_refused(self):
+        with pytest.raises(TypeError):
+            CantorExample(1.0)
+
     def test_identity_off_the_gaps(self):
         spec = CantorExample(2)
         for x in [F(0), F(1, 9), F(2, 9), F(1, 4), F(1, 3), F(2, 3), F(1)]:
@@ -246,6 +250,10 @@ class TestCantorExample:
 
 
 class TestDenseBlocks:
+    def test_float_depth_is_refused(self):
+        with pytest.raises(TypeError):
+            DenseBlocks(2.0)
+
     def test_with_max_depth_one(self):
         assert list(dense_blocks(Variant.WITH_MAX, 1)) == [
             (F(0), F(1, 4)),
@@ -326,16 +334,16 @@ class TestHomeo:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_homeo([(0, 0), (F(1, 2), F(1, 2))])
+            PLHomeo([(0, 0), (F(1, 2), F(1, 2))])
         with pytest.raises(ValueError):
-            make_homeo([(0, 0), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), (1, 1)])
+            PLHomeo([(0, 0), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), (1, 1)])
 
     def test_refuses_floats(self):
-        assert make_homeo([(0, 0), ("1/3", F(1, 2)), (1, 1)]) == SAMPLE_HOMEO
+        assert PLHomeo([(0, 0), ("1/3", F(1, 2)), (1, 1)]) == SAMPLE_HOMEO
         with pytest.raises(TypeError):
-            make_homeo([(0, 0), (0.5, F(1, 2)), (1, 1)])
+            PLHomeo([(0, 0), (0.5, F(1, 2)), (1, 1)])
         with pytest.raises(TypeError):
-            make_homeo([(0, 0), (F(1, 3), 0.5), (1, 1)])
+            PLHomeo([(0, 0), (F(1, 3), 0.5), (1, 1)])
 
     def test_rejects_outside_unit(self):
         for x in (F(-1, 3), F(4, 3)):
@@ -625,7 +633,7 @@ def pl_homeos(draw):
     k = draw(st.integers(0, 5))
     xs = sorted(draw(st.lists(inner, min_size=k, max_size=k, unique=True)))
     ys = sorted(draw(st.lists(inner, min_size=k, max_size=k, unique=True)))
-    return make_homeo([(0, 0), *zip(xs, ys), (1, 1)])
+    return PLHomeo([(0, 0), *zip(xs, ys), (1, 1)])
 
 
 @st.composite
