@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .systems import (
     SystemSpec,
@@ -341,21 +341,30 @@ class Component:
     span: Tuple[Fraction, Fraction]
 
 
+def _bits(mask: int) -> List[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 @dataclass(frozen=True)
 class ComponentPoset:
     """Recurrent components ordered by chain reachability.
 
-    Components are listed from left to right on the grid.  A pair (a, b)
-    in `pairs` says component a sits strictly below component b: chains
-    flow from b down to a.
+    Components are listed from left to right on the grid.  `below[b]` is a
+    bitmask of the components strictly below component b: bit a is set when
+    chains flow from b down to a.
     """
 
     grid: Grid
     components: Tuple[Component, ...]
-    pairs: frozenset
+    below: Tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.components)
+
+    @property
+    def pairs(self) -> FrozenSet[Tuple[int, int]]:
+        """Every (a, b) with a strictly below b, read off the masks."""
+        return frozenset((a, b) for b, mask in enumerate(self.below) for a in _bits(mask))
 
 
 def chain_components(cond: Condensation) -> ComponentPoset:
@@ -368,23 +377,14 @@ def chain_components(cond: Condensation) -> ComponentPoset:
         for s in cond.successors[c]:
             m |= masks[s]
         masks[c] = m
-    pairs = set()
-    for c in rec_ids:
-        here = pos[c]
-        below = masks[c] & ~(1 << here)
-        k = 0
-        while below:
-            if below & 1:
-                pairs.add((k, here))
-            below >>= 1
-            k += 1
     grid = cond.grid
     components = []
     for c in rec_ids:
         cells = cond.members[c]
         span = (grid.cell(cells[0])[0], grid.cell(cells[-1])[1])
         components.append(Component(cells, grid.midpoint(cells[0]), span))
-    return ComponentPoset(grid, tuple(components), frozenset(pairs))
+    below = tuple(masks[c] & ~(1 << pos[c]) for c in rec_ids)
+    return ComponentPoset(grid, tuple(components), below)
 
 
 def recurrent_cells(cond: Condensation) -> Tuple[int, ...]:

@@ -341,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--dump-graph", metavar="DIR", help="write adjacency dumps per resolution"
     )
-    analyze.add_argument(
-        "--dot", metavar="DIR", help="write DOT files per resolution"
-    )
 
     predict = sub.add_parser("predict", help="print model predictions only")
     predict.add_argument("config", help="path to a config file")
@@ -358,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_dots(artifacts: RunArtifacts, outdir: str, stream) -> None:
     directory = Path(outdir)
     directory.mkdir(parents=True, exist_ok=True)
-    for graph, poset in zip(artifacts.graphs, artifacts.posets):
-        path = directory / f"components_n{graph.grid.n}.dot"
-        path.write_text(to_dot(poset, name=f"components_n{graph.grid.n}"), encoding="utf-8")
+    for poset in artifacts.posets:
+        name = f"components_n{poset.grid.n}"
+        path = directory / f"{name}.dot"
+        path.write_text(to_dot(poset, name=name), encoding="utf-8")
         print(f"wrote {path}", file=stream)
 
 
@@ -405,8 +403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 path = directory / f"graph_n{graph.grid.n}.txt"
                 path.write_text(dump_adjacency(graph), encoding="utf-8")
                 print(f"wrote {path}", file=out)
-        if args.dot:
-            _write_dots(artifacts, args.dot, out)
         if args.json:
             _write_json(report, args.json, out)
     except OSError as e:

@@ -1,10 +1,11 @@
 """Order-theoretic views of component posets.
 
-A ComponentPoset lists recurrent components left to right with (a, b)
-pairs meaning a sits strictly below b.  This module adds the usual poset
-queries, a positional order-isomorphism check and, across a sequence of
-increasingly fine analyses, a density signature that tells gaps that keep
-subdividing apart from gaps that persist.
+A ComponentPoset lists recurrent components left to right and keeps, for
+each component b, a bitmask of the components strictly below b.  This
+module answers the usual poset queries from those masks, and adds a
+positional order-isomorphism check and, across a sequence of increasingly
+fine analyses, a density signature that tells gaps that keep subdividing
+apart from gaps that persist.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .chaingraph import ComponentPoset
+from .chaingraph import ComponentPoset, _bits
 
 
 class PosetError(ValueError):
@@ -22,41 +23,38 @@ class PosetError(ValueError):
 
 def is_linear(poset: ComponentPoset) -> bool:
     m = len(poset.components)
-    return len(poset.pairs) == m * (m - 1) // 2
+    return sum(mask.bit_count() for mask in poset.below) == m * (m - 1) // 2
 
 
 def minimal_elements(poset: ComponentPoset) -> Tuple[int, ...]:
-    m = len(poset.components)
-    has_lower = {b for _, b in poset.pairs}
-    return tuple(a for a in range(m) if a not in has_lower)
+    return tuple(b for b, mask in enumerate(poset.below) if not mask)
 
 
 def maximal_elements(poset: ComponentPoset) -> Tuple[int, ...]:
-    m = len(poset.components)
-    has_upper = {a for a, _ in poset.pairs}
-    return tuple(b for b in range(m) if b not in has_upper)
+    has_upper = 0
+    for mask in poset.below:
+        has_upper |= mask
+    return tuple(a for a in range(len(poset.components)) if not has_upper >> a & 1)
 
 
 def hasse_covers(poset: ComponentPoset) -> Tuple[Tuple[int, int], ...]:
     """Pairs (a, b) with a < b and nothing strictly between."""
+    below = poset.below
     covers = []
-    for a, b in sorted(poset.pairs):
-        if any((a, c) in poset.pairs and (c, b) in poset.pairs
-               for c in range(len(poset.components))):
-            continue
-        covers.append((a, b))
-    return tuple(covers)
+    for b, mask in enumerate(below):
+        under = 0
+        for c in _bits(mask):
+            under |= below[c]
+        covers.extend((a, b) for a in _bits(mask & ~under))
+    return tuple(sorted(covers))
 
 
 def linear_order_type(poset: ComponentPoset) -> Tuple[int, ...]:
     """Component indices from bottom to top; only for linear posets."""
     if not is_linear(poset):
         raise PosetError("poset is not linear")
-    m = len(poset.components)
-    below = [0] * m
-    for _, b in poset.pairs:
-        below[b] += 1
-    return tuple(sorted(range(m), key=lambda k: below[k]))
+    below = poset.below
+    return tuple(sorted(range(len(below)), key=lambda k: below[k].bit_count()))
 
 
 def order_isomorphic(p: ComponentPoset, q: ComponentPoset) -> bool:
@@ -66,7 +64,7 @@ def order_isomorphic(p: ComponentPoset, q: ComponentPoset) -> bool:
     coordinates keeps that order, so k -> k is the only candidate map and
     the verdict is exact.
     """
-    return len(p) == len(q) and p.pairs == q.pairs
+    return len(p) == len(q) and p.below == q.below
 
 
 def to_dot(poset: ComponentPoset, name: str = "chain_components") -> str:
@@ -120,8 +118,8 @@ def _validate_spatial(poset: ComponentPoset, level: int) -> None:
     for a, b in zip(comps, comps[1:]):
         if not a.span[1] < b.span[0]:
             raise PosetError(f"level {level}: component spans overlap")
-    for a, b in poset.pairs:
-        if not a < b:
+    for b, mask in enumerate(poset.below):
+        if mask >> b:
             raise PosetError(f"level {level}: order runs against position")
 
 

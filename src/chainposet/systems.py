@@ -362,9 +362,11 @@ def _middle_half(u: int, v: int) -> Tuple[int, int]:
     return u + w, v - w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dense_blocks(variant: Variant, depth: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Plateau blocks (lo, hi) at the given refinement depth, sorted and disjoint."""
+    if not isinstance(depth, int):
+        raise TypeError(f"depth must be an int, got {depth!r}")
     if depth < 0 or depth > MAX_FAMILY_DEPTH:
         raise ValueError(f"depth must be in 0..{MAX_FAMILY_DEPTH}")
     # block ends as integer numerators over `one`; the ends of level k are
@@ -418,9 +420,11 @@ def _eval_dense(spec: DenseBlocks, x: Fraction) -> Fraction:
 # middle-third dip family
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cantor_gaps(depth: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Removed middle thirds through the given level, sorted left to right."""
+    if not isinstance(depth, int):
+        raise TypeError(f"depth must be an int, got {depth!r}")
     if depth < 1 or depth > MAX_FAMILY_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_FAMILY_DEPTH}")
     gaps = []

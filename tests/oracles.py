@@ -1,10 +1,20 @@
 """Reference operations that more than one test module checks against.
 
 The package itself never needs these; they are written here in the most
-direct form so that the tests can read them at a glance.
+direct form so that the tests can read them at a glance.  The poset
+oracles scan the order pairs, so they hold for any relation, reversed
+pairs included, and check the package's mask queries.
 """
 
 from chainposet.chaingraph import ChainGraph, ComponentPoset
+
+
+def masks(m, pairs):
+    """One mask per component: bit a of entry b for every pair (a, b)."""
+    out = [0] * m
+    for a, b in pairs:
+        out[b] |= 1 << a
+    return tuple(out)
 
 
 def dual(poset: ComponentPoset) -> ComponentPoset:
@@ -12,8 +22,44 @@ def dual(poset: ComponentPoset) -> ComponentPoset:
     return ComponentPoset(
         poset.grid,
         poset.components,
-        frozenset((b, a) for a, b in poset.pairs),
+        masks(len(poset), ((b, a) for a, b in poset.pairs)),
     )
+
+
+def is_linear(poset: ComponentPoset) -> bool:
+    m = len(poset.components)
+    return len(poset.pairs) == m * (m - 1) // 2
+
+
+def minimal_elements(poset: ComponentPoset):
+    has_lower = {b for _, b in poset.pairs}
+    return tuple(a for a in range(len(poset.components)) if a not in has_lower)
+
+
+def maximal_elements(poset: ComponentPoset):
+    has_upper = {a for a, _ in poset.pairs}
+    return tuple(b for b in range(len(poset.components)) if b not in has_upper)
+
+
+def hasse_covers(poset: ComponentPoset):
+    """Pairs (a, b) with no c such that (a, c) and (c, b) are both pairs."""
+    pairs = poset.pairs
+    return tuple(
+        (a, b)
+        for a, b in sorted(pairs)
+        if not any((a, c) in pairs and (c, b) in pairs for c in range(len(poset.components)))
+    )
+
+
+def linear_order_type(poset: ComponentPoset):
+    below = [0] * len(poset.components)
+    for _, b in poset.pairs:
+        below[b] += 1
+    return tuple(sorted(range(len(below)), key=lambda k: below[k]))
+
+
+def order_isomorphic(p: ComponentPoset, q: ComponentPoset) -> bool:
+    return len(p) == len(q) and p.pairs == q.pairs
 
 
 def is_edge_subset(inner: ChainGraph, outer: ChainGraph) -> bool:

@@ -339,6 +339,24 @@ class TestRun:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cantor_trace.cfg", "14740481e8b3f14b9262ff243800cbe94d683358bb5aa78dc34dbcd43b885be0"),
+            ("conjugacy.cfg", "7a8b388b09fec3ae50e18411116930e8eba9bcb29fee57cdae1dfcc249b23f83"),
+            ("dense_blocks_trace.cfg", "6cdce3459a2c0267e1be19b0b1066831f7398481f28f53cb09625bcb09a9dafb"),
+            ("ordinal_omega.cfg", "e66698d3a696c9e8418e23e9eceb0b18f1c5c5a7efde341866e1118795bbc4c6"),
+        ],
+    )
+    def test_bundled_dots_frozen(self, tmp_path, capsys, name, digest):
+        # one digest over every file's name and bytes, in name order
+        assert main(["dot", str(CONFIGS / name), "-o", str(tmp_path)]) == 0
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.glob("*.dot")):
+            h.update(path.name.encode("utf-8"))
+            h.update(path.read_bytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "tasks, passes",
         [("[components, lyapunov]", 4), ("[components]", 2)],
     )
@@ -395,24 +413,15 @@ class TestMain:
         assert main(["analyze", cfg, "--json", str(two), "--seedless"]) == 0
         assert one.read_bytes() == two.read_bytes()
 
-    def test_analyze_dump_and_dot(self, tmp_path):
+    def test_analyze_dump_graph(self, tmp_path):
         cfg = self._write(tmp_path, "system = ordinal\nlambda = 1\nresolutions = 64\n")
-        code = main(
-            [
-                "analyze",
-                cfg,
-                "--seedless",
-                "--dump-graph",
-                str(tmp_path / "graphs"),
-                "--dot",
-                str(tmp_path / "dots"),
-            ]
-        )
+        code = main(["analyze", cfg, "--seedless", "--dump-graph", str(tmp_path / "graphs")])
         assert code == 0
         dump = (tmp_path / "graphs" / "graph_n64.txt").read_text()
         assert dump.splitlines()[0].startswith("0:")
-        dot = (tmp_path / "dots" / "components_n64.dot").read_text()
-        assert dot.startswith("digraph")
+        # DOT output is the `dot` command's alone
+        with pytest.raises(SystemExit):
+            main(["analyze", cfg, "--dot", str(tmp_path / "dots")])
 
     def test_predict_command(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "system = ordinal\nlambda = 4\nresolutions = 64\n")

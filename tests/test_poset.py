@@ -35,7 +35,8 @@ from chainposet.poset import (
 from chainposet.ordinal import ONE
 from chainposet.systems import CantorExample, DenseBlocks, OrdinalMap, Variant
 
-from oracles import dual
+import oracles
+from oracles import dual, masks
 
 
 def hand_poset(m, pairs, spans=None):
@@ -45,7 +46,7 @@ def hand_poset(m, pairs, spans=None):
     comps = tuple(
         Component((k,), (lo + hi) / 2, (lo, hi)) for k, (lo, hi) in enumerate(spans)
     )
-    return ComponentPoset(grid, comps, frozenset(pairs))
+    return ComponentPoset(grid, comps, masks(m, pairs))
 
 
 def poset_at(spec, n):
@@ -119,6 +120,24 @@ class TestQueries:
     def test_pairs_never_symmetric(self, p):
         for a, b in p.pairs:
             assert (b, a) not in p.pairs
+
+    @given(st.data())
+    def test_mask_queries_match_pair_oracles(self, data):
+        # arbitrary relations, so reversed, symmetric and reflexive pairs
+        # are all in reach; the oracles scan the pairs directly
+        m = data.draw(st.integers(1, 12))
+        index = st.integers(0, m - 1)
+        pairs = data.draw(st.frozensets(st.tuples(index, index)))
+        toggled = data.draw(st.frozensets(st.tuples(index, index), max_size=1))
+        p, q = hand_poset(m, pairs), hand_poset(m, pairs ^ toggled)
+        assert p.pairs == pairs
+        assert is_linear(p) == oracles.is_linear(p)
+        assert minimal_elements(p) == oracles.minimal_elements(p)
+        assert maximal_elements(p) == oracles.maximal_elements(p)
+        assert hasse_covers(p) == oracles.hasse_covers(p)
+        assert order_isomorphic(p, q) == oracles.order_isomorphic(p, q)
+        if is_linear(p):
+            assert linear_order_type(p) == oracles.linear_order_type(p)
 
 
 class TestIsomorphism:

@@ -224,6 +224,15 @@ class TestCantorExample:
         with pytest.raises(TypeError):
             CantorExample(1.0)
 
+    def test_gap_lists_refuse_a_float_depth_cold_and_warm(self):
+        cantor_gaps.cache_clear()
+        with pytest.raises(TypeError, match="depth must be an int, got 1.5"):
+            cantor_gaps(1.5)
+        # a cached int depth must not answer for the equal float
+        assert len(cantor_gaps(2)) == 3
+        with pytest.raises(TypeError, match="got 2.0"):
+            cantor_gaps(2.0)
+
     def test_identity_off_the_gaps(self):
         spec = CantorExample(2)
         for x in [F(0), F(1, 9), F(2, 9), F(1, 4), F(1, 3), F(2, 3), F(1)]:
@@ -253,6 +262,15 @@ class TestDenseBlocks:
     def test_float_depth_is_refused(self):
         with pytest.raises(TypeError):
             DenseBlocks(2.0)
+
+    def test_block_lists_refuse_a_float_depth_cold_and_warm(self):
+        dense_blocks.cache_clear()
+        with pytest.raises(TypeError, match="depth must be an int, got 3.0"):
+            dense_blocks(Variant.WITH_MAX, 3.0)
+        # a cached int depth must not answer for the equal float
+        assert len(dense_blocks(Variant.WITH_MAX, 2)) == 5
+        with pytest.raises(TypeError, match="got 2.0"):
+            dense_blocks(Variant.WITH_MAX, 2.0)
 
     def test_with_max_depth_one(self):
         assert list(dense_blocks(Variant.WITH_MAX, 1)) == [
