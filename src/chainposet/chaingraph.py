@@ -22,6 +22,7 @@ least two plus the self-edged singletons; ordering them by reachability
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -67,6 +68,13 @@ class Grid:
     @cached_property
     def width(self) -> Fraction:
         return (self.hi - self.lo) / self.n
+
+    @cached_property
+    def ticks(self) -> Tuple[int, int, int]:
+        """(d, first, step): grid point k is (first + k*step)/d exactly."""
+        lo, w = self.lo, self.width
+        d = math.lcm(lo.denominator, w.denominator)
+        return d, lo.numerator * (d // lo.denominator), w.numerator * (d // w.denominator)
 
     def cell(self, i: int) -> Tuple[Fraction, Fraction]:
         if not 0 <= i < self.n:
@@ -176,10 +184,7 @@ def cell_images(
     if is_increasing(spec):
         if 0 <= grid.lo and grid.hi <= 1:
             # every point in one call, as numerators over one denominator
-            lo, w = grid.lo, grid.width
-            d = math.lcm(lo.denominator, w.denominator)
-            first = lo.numerator * (d // lo.denominator)
-            step = w.numerator * (d // w.denominator)
+            d, first, step = grid.ticks
             vals = values_at(spec, range(first, first + step * grid.n + 1, step), d)
         else:
             # a grid that leaves the domain fails here as evaluate fails
@@ -193,43 +198,67 @@ def build_chain_graph(
     grid: Grid,
     eps: Optional[EpsilonField] = None,
 ) -> ChainGraph:
-    """Exact transition graph of single chain steps on the grid."""
+    """Exact transition graph of single chain steps on the grid.
+
+    Every image end and slack is measured against the grid's integer
+    ticks, so each target bound is one integer floor division.  All rows'
+    ranges are counted before any row is built, so an over-budget graph is
+    refused before it takes its memory.
+    """
     if eps is None:
         eps = auto_field(grid)
     parts = cell_images(spec, grid)
-    n, lo, w = grid.n, grid.lo, grid.width
-    adjacency: List[Tuple[int, ...]] = []
-    # rows are sliced from one list, so equal targets share one int object
-    cells = list(range(n))
-    total = 0
+    n = grid.n
+    d, first, step = grid.ticks
+    # merged target ranges [starts[k], ends[k]] of cell i for k in
+    # offsets[i]:offsets[i+1], and whether cell i's image meets cell i
+    starts, ends, offsets = array("i"), array("i"), array("q", [0])
+    hits_self = bytearray(n)
     for i in range(n):
-        ci_lo, ci_hi = grid.cell(i)
         ranges: List[Tuple[int, int]] = []
-        hits_self = False
         for p, q in parts[i]:
             t = eps.sup_over(p, q)
-            j_lo = max(0, math.floor((p - t - lo) / w))
-            j_hi = min(n - 1, math.ceil((q + t - lo) / w) - 1)
+            pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+            tn, td = t.numerator, t.denominator
+            # (x - lo)/w is (xn*d - first*xd)/(xd*step) for x = xn/xd
+            rp = pn * d - first * pd
+            rq = qn * d - first * qd
+            # first j with cell j's right end above p - t, and last j with
+            # its left end below q + t: floor((p - t - lo)/w) and
+            # ceil((q + t - lo)/w) - 1
+            j_lo = max(0, (rp * td - tn * d * pd) // (pd * td * step))
+            j_hi = min(n - 1, (rq * td + tn * d * qd - 1) // (qd * td * step))
             if j_lo <= j_hi:
                 ranges.append((j_lo, j_hi))
-            if p <= ci_hi and q >= ci_lo:
-                hits_self = True
+            if rp <= (i + 1) * step * pd and rq >= i * step * qd:
+                hits_self[i] = 1
         ranges.sort()
-        merged: List[List[int]] = []
         for a, b in ranges:
-            if merged and a <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], b)
+            if len(starts) > offsets[-1] and a <= ends[-1] + 1:
+                ends[-1] = max(ends[-1], b)
             else:
-                merged.append([a, b])
-        total += sum(b - a + 1 for a, b in merged)
-        if total > MAX_EDGES:
-            raise ChainGraphError("edge budget exceeded; shrink the slack or the grid")
-        row: List[int] = []
-        for a, b in merged:
-            row += cells[a : b + 1]
-        if not hits_self and i in row:
-            row.remove(i)
-        adjacency.append(tuple(row))
+                starts.append(a)
+                ends.append(b)
+        offsets.append(len(starts))
+    del parts  # the rows below need the images no longer
+    total = sum(ends) - sum(starts) + len(starts)
+    if total > MAX_EDGES:
+        raise ChainGraphError(
+            f"edge budget exceeded: {total} edges > MAX_EDGES = {MAX_EDGES}; "
+            "shrink the slack or the grid"
+        )
+    # rows are sliced from one tuple, so equal targets share one int object
+    cells = tuple(range(n))
+    adjacency: List[Tuple[int, ...]] = []
+    for i in range(n):
+        row: Tuple[int, ...] = ()
+        for k in range(offsets[i], offsets[i + 1]):
+            a, b = starts[k], ends[k]
+            if a <= i <= b and not hits_self[i]:
+                row += cells[a:i] + cells[i + 1 : b + 1]
+            else:
+                row += cells[a : b + 1]
+        adjacency.append(row)
     return ChainGraph(spec, grid, eps, tuple(adjacency))
 
 

@@ -7,6 +7,7 @@ pairs included, and check the package's mask queries.
 """
 
 from chainposet.chaingraph import ChainGraph, ComponentPoset
+from chainposet.systems import image_intervals
 
 
 def masks(m, pairs):
@@ -66,3 +67,27 @@ def is_edge_subset(inner: ChainGraph, outer: ChainGraph) -> bool:
     """True when every edge of `inner` is also an edge of `outer`."""
     assert inner.grid == outer.grid, "graphs live on different grids"
     return all(set(a) <= set(b) for a, b in zip(inner.adjacency, outer.adjacency))
+
+
+def reference_build(spec, grid, eps):
+    """Chain graph adjacency by the module rule, cell pair by cell pair.
+
+    Cell j is a target of cell i when some part [p, q] of i's image lies
+    at distance below the slack's supremum over [p, q] from cell j; cell i
+    is its own target only when some part meets it.  Every test is one
+    comparison of Fractions, on images taken one cell at a time.
+    """
+    cells = [grid.cell(i) for i in range(grid.n)]
+    adjacency = []
+    for i, (a, b) in enumerate(cells):
+        parts = [(p, q, eps.sup_over(p, q)) for p, q in image_intervals(spec, a, b)]
+        row = []
+        for j, (c, d) in enumerate(cells):
+            if j == i:
+                hit = any(p <= d and q >= c for p, q, _ in parts)
+            else:
+                hit = any(c < q + t and d > p - t for p, q, t in parts)
+            if hit:
+                row.append(j)
+        adjacency.append(tuple(row))
+    return tuple(adjacency)

@@ -5,6 +5,7 @@ against brute-force breadth-first closures, which are slow but obviously
 correct on small graphs.
 """
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +39,7 @@ from chainposet.systems import (
     is_open,
 )
 
-from oracles import is_edge_subset
+from oracles import is_edge_subset, reference_build
 
 SMALL_SPECS = [
     OrdinalMap(ZERO),
@@ -252,8 +253,24 @@ class TestEdges:
 
     def test_edge_budget_guard(self, monkeypatch):
         monkeypatch.setattr(cg, "MAX_EDGES", 64)
-        with pytest.raises(ChainGraphError):
+        with pytest.raises(ChainGraphError, match=r"1024 edges > MAX_EDGES = 64"):
             build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 32), ConstantField(F(1)))
+
+    def test_edge_budget_refused_before_rows(self):
+        # slack 1 on 16384 cells asks for 2^28 edges, 4 * MAX_EDGES.  Rows
+        # up to the budget alone would take about 530 MB, so the count has
+        # to come before any row; the refusal then needs little more than
+        # the cell images' 4 MB (Python 3.11).
+        spec = OrdinalMap(ZERO)
+        grid = grid_for(spec, 16384)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChainGraphError, match=r"268435456 edges > MAX_EDGES = 67108864"):
+                build_chain_graph(spec, grid, ConstantField(F(1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_dump_format(self):
         g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 2), ConstantField(F(1, 4)))
@@ -289,6 +306,91 @@ class TestEdges:
         g = build_chain_graph(OrdinalMap(ZERO), grid, field)
         assert g.adjacency[0] == (0, 1, 2)
         assert g.adjacency[15] == tuple(range(10, 16))
+
+
+def slack_fields(width):
+    """Constant and piecewise slack in steps of a quarter cell width, so
+    that image ends plus or minus the slack often land on cell ends."""
+    step = width / 4
+    constant = st.builds(lambda k: ConstantField(k * step), st.integers(1, 12))
+    piecewise = st.builds(
+        lambda xs, ks: PiecewiseField(
+            list(zip([F(0), *sorted(set(xs)), F(1)], (k * step for k in ks)))
+        ),
+        st.lists(st.fractions(F(1, 16), F(15, 16), max_denominator=16), max_size=3),
+        st.lists(st.integers(1, 40), min_size=5, max_size=5),
+    )
+    return st.one_of(constant, piecewise)
+
+
+@st.composite
+def build_inputs(draw):
+    """A spec of any family, a grid over its core or inset in its domain,
+    and a slack field."""
+    spec = draw(st.sampled_from(ENCLOSURE_SPECS))
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        grid = grid_for(spec, n)
+    else:
+        # mostly lo off 0, and a grid denominator other than n
+        edge = F(1, 20) if is_open(spec) else F(0)
+        ends = st.fractions(edge, 1 - edge, max_denominator=20)
+        lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+        grid = Grid(lo, hi, n)
+    return spec, grid, draw(slack_fields(grid.width))
+
+
+class TestAgainstReference:
+    """The integer edge loop gives the adjacency of the module's rule, read
+    cell pair by cell pair in Fraction arithmetic."""
+
+    @given(build_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_adjacency_matches_reference(self, case):
+        spec, grid, eps = case
+        assert build_chain_graph(spec, grid, eps).adjacency == reference_build(spec, grid, eps)
+
+    @pytest.mark.parametrize(
+        "spec, grid, eps, i, row",
+        [
+            # inset grid of width 1/12 from 1/3: cell 2's image ends on cell
+            # ends, and the slack reaches cell 0's right end exactly, which
+            # is no edge (the rule is the strict <)
+            (OrdinalMap(ZERO), Grid(F(1, 3), F(2, 3), 4), ConstantField(F(1, 12)), 2, (1, 2, 3)),
+            # the same from above: q + t is cell 3's left end
+            (OrdinalMap(ZERO), Grid(F(1, 3), F(2, 3), 4), ConstantField(F(1, 12)), 1, (0, 1, 2)),
+            # piecewise slack whose supremum over cell 3, 1/4, reaches the
+            # right end of cell 0 and the left end of cell 6
+            (
+                OrdinalMap(ZERO),
+                Grid(F(0), F(1), 8),
+                PiecewiseField([(0, F(1, 8)), (1, F(3, 8))]),
+                3,
+                (1, 2, 3, 4, 5),
+            ),
+            # x^2 takes cell 1 = [1/4, 1/2] onto [1/16, 1/4], which only
+            # touches cell 1 at its left end: that is a self edge
+            (OrdinalMap(ONE), Grid(F(0), F(1), 4), ConstantField(F(1, 64)), 1, (0, 1)),
+            # cell 2 = [1/4, 3/8] takes the values 0 and 3/8; 3/8 only
+            # touches cell 2 at its right end
+            (DenseBlocks(1, Variant.WITH_MAX), Grid(F(0), F(1), 8), ConstantField(F(1, 64)), 2, (0, 2, 3)),
+            # cell 3 = [3/8, 1/2] takes the value 3/8, its left end
+            (DenseBlocks(1, Variant.WITH_MAX), Grid(F(0), F(1), 8), ConstantField(F(1, 64)), 3, (2, 3)),
+            # the slack at 0 is so wide that the range of cell 2's part at
+            # 0 holds that of its part at 3/8
+            (
+                DenseBlocks(1, Variant.WITH_MAX),
+                Grid(F(0), F(1), 8),
+                PiecewiseField([(0, 1), (F(3, 8), F(1, 64)), (1, F(1, 64))]),
+                2,
+                tuple(range(8)),
+            ),
+        ],
+    )
+    def test_boundary_cases(self, spec, grid, eps, i, row):
+        adjacency = build_chain_graph(spec, grid, eps).adjacency
+        assert adjacency[i] == row
+        assert adjacency == reference_build(spec, grid, eps)
 
 
 class TestEnclosureSoundness:

@@ -40,6 +40,15 @@ from chainposet.systems import (
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
 
+def files_digest(directory, pattern):
+    """One sha256 over every matching file's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(directory.glob(pattern)):
+        h.update(path.name.encode("utf-8"))
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 SAMPLE_HOMEO = ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1), F(1)))
 
 FULL_CONFIG = """
@@ -348,13 +357,23 @@ class TestRun:
         ],
     )
     def test_bundled_dots_frozen(self, tmp_path, capsys, name, digest):
-        # one digest over every file's name and bytes, in name order
         assert main(["dot", str(CONFIGS / name), "-o", str(tmp_path)]) == 0
-        h = hashlib.sha256()
-        for path in sorted(tmp_path.glob("*.dot")):
-            h.update(path.name.encode("utf-8"))
-            h.update(path.read_bytes())
-        assert h.hexdigest() == digest
+        assert files_digest(tmp_path, "*.dot") == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cantor_trace.cfg", "98936e4f08bb5f9065e77b975a3144ccb0575aa0f2ffd45bb422f01c3f7e46a1"),
+            ("conjugacy.cfg", "2c9537837f559b019f5960e26cd27486e322f67c629690377ab46d5cbfbb072e"),
+            ("dense_blocks_trace.cfg", "384848fb972e2d9cdd7d2b19af6553d6bc45b37c8a8d16c75c3b8ac73d8a3b29"),
+            ("ordinal_omega.cfg", "1a80d5e0a4aaad6617f41c83b52e102d467f50e8e12325fee7f7c656ecfad832"),
+        ],
+    )
+    def test_bundled_graphs_frozen(self, tmp_path, capsys, name, digest):
+        # the adjacency itself, as `--dump-graph` writes it
+        args = ["analyze", str(CONFIGS / name), "--seedless", "--dump-graph", str(tmp_path)]
+        assert main(args) == 0
+        assert files_digest(tmp_path, "*.txt") == digest
 
     @pytest.mark.parametrize(
         "tasks, passes",
