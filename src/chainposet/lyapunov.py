@@ -31,11 +31,8 @@ def cantor_value(rank: int, total: int) -> Fraction:
     if not 0 <= rank < total:
         raise ValueError("rank out of range")
     bits = (total - 1).bit_length()
-    value = Fraction(0)
-    for k in range(bits):
-        b = (rank >> (bits - 1 - k)) & 1
-        value += Fraction(2 * b, 3 ** (k + 1))
-    return value
+    # the numerator over 3^bits: the binary digits, each 1 doubled, read in base 3
+    return Fraction(int(f"{rank:b}".replace("1", "2"), 3), 3**bits)
 
 
 def in_middle_third_set(x: Fraction) -> bool:
@@ -113,14 +110,19 @@ class CertificationReport:
 
 
 def _descent(
-    spec: SystemSpec, grid: Grid, cond: Condensation, values: Tuple[Fraction, ...]
+    spec: SystemSpec,
+    grid: Grid,
+    cond: Condensation,
+    values: Tuple[Fraction, ...],
+    keys: List[int],
 ) -> Tuple[CheckResult, int]:
     """Descent over the exact cell images, and the count of image parts
     that lie wholly outside the grid.
 
     Some point of cell i steps into each cell j whose closed cell meets
     the image of cell i, so each such j must sit in i's component at the
-    same value, or strictly below it.
+    same value, or strictly below it.  Values are compared through their
+    integer keys and named in the witness as they were given.
     """
     n, lo, hi, w = grid.n, grid.lo, grid.hi, grid.width
     # not chaingraph.cell_images: the certificate is checked against images
@@ -142,13 +144,13 @@ def _descent(
                 min(n - 1, math.floor((q - lo) / w)) + 1,
             ):
                 if comp_of[i] == comp_of[j]:
-                    if values[i] != values[j]:
+                    if keys[i] != keys[j]:
                         return CheckResult(
                             "descent", False,
                             f"cell {i} steps into cell {j} of its own component "
                             f"but changes value",
                         ), skipped
-                elif not values[i] > values[j]:
+                elif not keys[i] > keys[j]:
                     return CheckResult(
                         "descent", False,
                         f"cell {i} steps into cell {j} without descending "
@@ -165,17 +167,26 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
     alongside it, so a wrong condensation given to `synthesize` cannot
     certify itself.  Descent is decided on the exact image of every cell,
     recomputed here as well, so it covers every point of the grid.
+
+    Every comparison reads integer keys: each value's numerator over the
+    lcm of all the denominators (3^bits for a synthesized assignment), so
+    equal values get equal keys and order is kept exactly.
     """
     if assignment.grid != graph.grid:
         raise ValueError("assignment and graph use different grids")
     values = assignment.cell_values
+    if len(values) != graph.grid.n:
+        raise ValueError(
+            f"assignment has {len(values)} cell values for {graph.grid.n} cells"
+        )
+    den = math.lcm(*{v.denominator for v in values})
+    keys = [v.numerator * (den // v.denominator) for v in values]
     cond = condense(graph)
     notes: List[str] = []
 
     constancy = CheckResult("constancy", True)
     for members in cond.members:
-        vals = {values[i] for i in members}
-        if len(vals) > 1:
+        if len({keys[i] for i in members}) > 1:
             constancy = CheckResult(
                 "constancy", False,
                 f"cells {members[0]} and {members[-1]} share a component "
@@ -183,10 +194,10 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
             )
             break
 
-    rec_values = [values[members[0]]
-                  for members, flag in zip(cond.members, cond.recurrent) if flag]
+    rec_keys = [keys[members[0]]
+                for members, flag in zip(cond.members, cond.recurrent) if flag]
     injectivity = CheckResult("injectivity", True)
-    if len(set(rec_values)) != len(rec_values):
+    if len(set(rec_keys)) != len(rec_keys):
         injectivity = CheckResult(
             "injectivity", False, "two recurrent components share a value"
         )
@@ -194,7 +205,7 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
     edge_order = CheckResult("edge_order", True)
     for i, row in enumerate(graph.adjacency):
         for j in row:
-            if cond.comp_of[i] != cond.comp_of[j] and not values[i] > values[j]:
+            if cond.comp_of[i] != cond.comp_of[j] and not keys[i] > keys[j]:
                 edge_order = CheckResult(
                     "edge_order", False,
                     f"edge {i} -> {j} does not descend "
@@ -204,7 +215,7 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
         if not edge_order.passed:
             break
 
-    descent, skipped = _descent(graph.spec, graph.grid, cond, values)
+    descent, skipped = _descent(graph.spec, graph.grid, cond, values, keys)
     if skipped:
         notes.append(f"descent: skipped {skipped} image parts outside the grid")
 

@@ -122,9 +122,10 @@ class PLHomeo:
         return _pl_apply(self._backward, y)
 
 
-# interior breakpoint abscissae, and for each piece integers (a, b, d) with
+# (D, cuts, pieces): the interior breakpoint abscissae as integer numerators
+# over their one denominator D, and for each piece integers (a, b, d) with
 # value (a*x + b)/d on it, so that at x = p/q the value is (a*p + b*q)/(d*q)
-_PLTable = Tuple[Tuple[Fraction, ...], Tuple[Tuple[int, int, int], ...]]
+_PLTable = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]
 
 
 def _pl_table(points: Tuple[Tuple[Fraction, Fraction], ...]) -> _PLTable:
@@ -138,15 +139,18 @@ def _pl_table(points: Tuple[Tuple[Fraction, Fraction], ...]) -> _PLTable:
             offset.numerator * (d // offset.denominator),
             d,
         ))
-    return tuple(x for x, _ in points[1:-1]), tuple(pieces)
+    cuts = [x for x, _ in points[1:-1]]
+    den = math.lcm(*(c.denominator for c in cuts))
+    return den, tuple(c.numerator * (den // c.denominator) for c in cuts), tuple(pieces)
 
 
 def _pl_apply(table: _PLTable, x: Fraction) -> Fraction:
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
         raise ValueError("argument outside [0, 1]")
-    cuts, pieces = table
-    a, b, d = pieces[bisect.bisect_right(cuts, x)]
+    den, cuts, pieces = table
+    # c/den <= p/q exactly when c <= floor(p*den/q), c being an integer
+    a, b, d = pieces[bisect.bisect_right(cuts, p * den // q)]
     return Fraction(a * p + b * q, d * q)
 
 

@@ -6,8 +6,20 @@ oracles scan the order pairs, so they hold for any relation, reversed
 pairs included, and check the package's mask queries.
 """
 
+from fractions import Fraction
+
 from chainposet.chaingraph import ChainGraph, ComponentPoset
 from chainposet.systems import image_intervals
+
+
+def reference_cantor_value(rank: int, total: int) -> Fraction:
+    """The rank's binary digits, doubled, summed as base-3 digits."""
+    bits = (total - 1).bit_length()
+    value = Fraction(0)
+    for k in range(bits):
+        b = (rank >> (bits - 1 - k)) & 1
+        value += Fraction(2 * b, 3 ** (k + 1))
+    return value
 
 
 def masks(m, pairs):

@@ -85,6 +85,16 @@ eps = 1/50
 tasks = [components, conjugacy, refine]
 """
 
+# the certify benchmark's seed-0 config, at one coarser resolution
+CERTIFY_SEED0 = """
+system = conjugated
+inner = ordinal
+lambda = w
+homeo = [(0, 0), (1/3, 13/48), (2/3, 35/48), (1, 1)]
+resolutions = [512]
+tasks = [components, lyapunov, conjugacy]
+"""
+
 
 class TestConfigParse:
     def test_full_config(self):
@@ -524,8 +534,15 @@ class TestMain:
                 "720d1b0998cb8b78b27985273531370fe467e60d2750fa9ddbd5b1112794edd1",
                 "497132da5385d104d3719306e6aacf0077073a152dbaef7739a696c706798d7d",
             ),
+            # the twin comparison passes at 512 cells, though it fails at 4096
+            (
+                CERTIFY_SEED0,
+                0,
+                "f3764f4545ef6ff786ecae1edc6b5f495d541d2b010ec3875baf929f9cd0ece8",
+                "715d23882431b419c5cf1dec5b477bde362e1b3191aae5c10b620ceb4750c028",
+            ),
         ],
-        ids=["conjugated_dense", "conjugated_cantor"],
+        ids=["conjugated_dense", "conjugated_cantor", "certify_seed0"],
     )
     def test_conjugated_outputs_frozen(
         self, tmp_path, capsys, text, analyze_status, analyze_digest, predict_digest

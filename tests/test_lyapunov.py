@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainposet.chaingraph import (
     ConstantField,
@@ -28,6 +28,8 @@ from chainposet.systems import (
     OrdinalMap,
     Variant,
 )
+
+from oracles import reference_cantor_value
 
 CLOSED_SPECS = [
     OrdinalMap(ZERO),
@@ -58,6 +60,18 @@ class TestCantorValue:
             cantor_value(-1, 2)
         with pytest.raises(ValueError):
             cantor_value(0, 0)
+
+    @given(st.integers(1, 2**24).flatmap(
+        lambda total: st.tuples(st.integers(0, total - 1), st.just(total))
+    ))
+    # the top of the range, which the draws reach only now and then
+    @example((2**24 - 1, 2**24))
+    @example((0xAAAAAA, 2**24))
+    @example((0x555555, 2**24 - 1))
+    @example((2**23, 2**23 + 1))
+    def test_matches_the_fraction_sum(self, case):
+        rank, total = case
+        assert cantor_value(rank, total) == reference_cantor_value(rank, total)
 
     @given(st.integers(1, 300))
     def test_strictly_increasing_in_rank(self, total):
@@ -235,6 +249,51 @@ class TestVerifyCatchesViolations:
         )
         with pytest.raises(ValueError):
             verify(synthesize(condense(other)), g)
+
+    @pytest.mark.parametrize("count", [15, 17])
+    def test_wrong_value_count_rejected(self, count):
+        g = self.graph()
+        good = synthesize(condense(g))
+        values = (good.cell_values * 2)[:count]
+        with pytest.raises(ValueError, match=f"{count} cell values for 16 cells"):
+            verify(dataclasses.replace(good, cell_values=values), g)
+
+    def verdicts_with(self, component, value):
+        """verify's verdicts once every cell of `component` carries `value`."""
+        g = self.graph()
+        cond = condense(g)
+        good = synthesize(cond)
+        values = list(good.cell_values)
+        for i in cond.members[component]:
+            values[i] = value
+        bad = dataclasses.replace(good, cell_values=tuple(values))
+        return {c.name: c.passed for c in verify(bad, g).checks}
+
+    def test_foreign_denominators_neither_merge_nor_split(self):
+        # half a step of the value grid: the common denominator becomes
+        # 2*3^bits, the values' keys change scale, and every verdict stays
+        # the one that comparing the Fractions themselves gives
+        cond = condense(self.graph())
+        values = synthesize(cond).component_values
+        first, second = [c for c, flag in enumerate(cond.recurrent) if flag][:2]
+        half = F(1, 2 * 3 ** (len(values) - 1).bit_length())
+        assert self.verdicts_with(second, values[first] + half) == {
+            "descent": False, "constancy": True, "injectivity": True,
+            "edge_order": False, "value_set": False,
+        }
+        assert not self.verdicts_with(second, values[first])["injectivity"]
+        # the top component just above, below and at the next value down:
+        # only the first still descends
+        top = max(range(len(values)), key=values.__getitem__)
+        below = max(v for c, v in enumerate(values) if c != top)
+        assert self.verdicts_with(top, below + half) == {
+            "descent": True, "constancy": True, "injectivity": True,
+            "edge_order": True, "value_set": False,
+        }
+        for value in (below - half, below):
+            verdicts = self.verdicts_with(top, value)
+            assert not verdicts["descent"] and not verdicts["edge_order"]
+            assert verdicts["value_set"] == (value == below)
 
 
 class TestOpenDomainNotes:

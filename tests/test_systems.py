@@ -654,6 +654,27 @@ def pl_homeos(draw):
     return PLHomeo([(0, 0), *zip(xs, ys), (1, 1)])
 
 
+# the certify benchmark's seed-0 homeomorphism, and one whose breakpoint
+# denominators are coprime, so that each table's one denominator is a
+# true lcm (35 forward, 99 backward)
+BREAKPOINT_HOMEOS = (
+    PLHomeo([(0, 0), (F(1, 3), F(13, 48)), (F(2, 3), F(35, 48)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 5), F(2, 9)), (F(4, 7), F(5, 11)), (1, 1)]),
+)
+
+
+def at_breakpoints(test):
+    """Examples at each interior breakpoint, at its image, and 1/4096^2 to
+    either side of both: the inputs that an integer bisect over the cuts
+    puts in a wrong piece first."""
+    delta = F(1, 4096**2)
+    for h in BREAKPOINT_HOMEOS:
+        for c in sorted({v for point in h.points[1:-1] for v in point}):
+            for x in (c - delta, c, c + delta):
+                test = example(h, x)(test)
+    return test
+
+
 @st.composite
 def grids_in_unit(draw) -> Grid:
     """The unit grid, or a grid on a sub-interval of [0, 1]."""
@@ -698,6 +719,7 @@ class TestAgainstFractionReference:
 
     @settings(max_examples=200, deadline=None)
     @given(pl_homeos(), unit_rationals)
+    @at_breakpoints
     def test_homeo_matches(self, h, x):
         y = h.apply(x)
         assert y == reference_pl_apply(h.points, x)
