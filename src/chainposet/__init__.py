@@ -51,7 +51,6 @@ from .chaingraph import (
     grid_for,
     reaches_recurrent,
     recurrent_cells,
-    strongly_connected_components,
 )
 from .poset import (
     DensitySignature,

@@ -14,8 +14,10 @@ Keeping the self rule at distance exactly zero stops cells that map just
 short of themselves from being reported as spurious one-cell recurrent
 components; mutual cross edges still capture genuine recurrence bands.
 
-Recurrent components are the strongly connected components of size at
-least two plus the self-edged singletons; ordering them by reachability
+The strongly connected components (SCCs) come out of one Tarjan pass
+sinks first.  An SCC is recurrent exactly when one of its edges stays
+inside it: any SCC of two or more cells has such an edge, a single cell
+only through its self edge.  Ordering the recurrent SCCs by reachability
 (later in the flow is lower) gives the component poset.
 """
 
@@ -26,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from .systems import (
     SystemSpec,
@@ -267,72 +269,14 @@ def dump_adjacency(graph: ChainGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def strongly_connected_components(
-    adjacency: Sequence[Sequence[int]],
-) -> Tuple[List[List[int]], List[int]]:
-    """Tarjan's algorithm, iterative, single pass.
-
-    Components come out with every successor component emitted before the
-    components that reach it, so the emission order is sinks first.
-    """
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    stack: List[int] = []
-    comp_of = [-1] * n
-    comps: List[List[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: List[List[int]] = [[root, 0]]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            row = adjacency[v]
-            advanced = False
-            while ptr < len(row):
-                u = row[ptr]
-                ptr += 1
-                if index[u] == -1:
-                    work[-1][1] = ptr
-                    work.append([u, 0])
-                    advanced = True
-                    break
-                if on_stack[u] and index[u] < low[v]:
-                    low[v] = index[u]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp: List[int] = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = 0
-                    comp_of[u] = len(comps)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-    return comps, comp_of
-
-
 @dataclass(frozen=True)
 class Condensation:
     """SCC quotient of a chain graph, in sinks-first emission order.
 
-    The chain components, their order and the Lyapunov ranks are all read
-    off this one value, so each graph needs condensing only once.
+    Every SCC comes after the SCCs its edges lead into, and it is
+    recurrent exactly when one of its edges stays inside it.  The chain
+    components, their order and the Lyapunov ranks are all read off this
+    one value, so each graph needs condensing only once.
     """
 
     grid: Grid
@@ -343,23 +287,57 @@ class Condensation:
 
 
 def condense(graph: ChainGraph) -> Condensation:
-    comps, comp_of = strongly_connected_components(graph.adjacency)
-    succs: List[set] = [set() for _ in comps]
-    recurrent = [len(c) > 1 for c in comps]
-    for i, row in enumerate(graph.adjacency):
-        ci = comp_of[i]
-        for j in row:
-            if j == i:
-                recurrent[ci] = True
-            cj = comp_of[j]
-            if cj != ci:
-                succs[ci].add(cj)
+    """Tarjan's algorithm, iterative, with one pass over the edges.
+
+    A cell's index is its position on Tarjan's stack, where it stays until
+    its SCC closes as the top slice; the cells there are exactly those
+    numbered but not yet given a component.  When an SCC closes, every
+    target of its rows lies in it or in an SCC emitted before it, so one
+    set of their components holds its own id, if it is recurrent, and its
+    successors.
+    """
+    adjacency = graph.adjacency
+    n = len(adjacency)
+    index = [-1] * n
+    low = [0] * n
+    comp_of = [-1] * n
+    stack: List[int] = []
+    members: List[Tuple[int, ...]] = []
+    successors: List[Tuple[int, ...]] = []
+    recurrent: List[bool] = []
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = 0  # every root starts on an empty stack
+        stack.append(root)
+        work = [(root, iter(adjacency[root]))]
+        while work:
+            v, row = work[-1]
+            for u in row:
+                if index[u] == -1:
+                    index[u] = low[u] = len(stack)
+                    stack.append(u)
+                    work.append((u, iter(adjacency[u])))
+                    break
+                if comp_of[u] == -1 and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    c = len(members)
+                    cells = sorted(stack[index[v] :])
+                    del stack[index[v] :]
+                    for u in cells:
+                        comp_of[u] = c
+                    targets = {comp_of[j] for i in cells for j in adjacency[i]}
+                    recurrent.append(c in targets)
+                    targets.discard(c)
+                    members.append(tuple(cells))
+                    successors.append(tuple(sorted(targets)))
     return Condensation(
-        graph.grid,
-        tuple(comp_of),
-        tuple(tuple(c) for c in comps),
-        tuple(tuple(sorted(s)) for s in succs),
-        tuple(recurrent),
+        graph.grid, tuple(comp_of), tuple(members), tuple(successors), tuple(recurrent)
     )
 
 

@@ -227,6 +227,8 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
         raise ConfigError("need at least one resolution", res_line)
     if any(n < 1 for n in resolutions):
         raise ConfigError("resolutions must be positive", res_line)
+    if len(set(resolutions)) < len(resolutions):
+        raise ConfigError("resolutions must be distinct", res_line)
 
     depths: Optional[Tuple[int, ...]] = None
     got = raw.pop("depths", None)

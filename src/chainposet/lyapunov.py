@@ -57,7 +57,6 @@ class LyapunovAssignment:
     grid: Grid
     cell_values: Tuple[Fraction, ...]
     component_values: Tuple[Fraction, ...]
-    ranks: Tuple[int, ...]
 
 
 def synthesize(cond: Condensation) -> LyapunovAssignment:
@@ -87,9 +86,7 @@ def synthesize(cond: Condensation) -> LyapunovAssignment:
                 heapq.heappush(ready, (cond.members[u][0], u))
     component_values = tuple(cantor_value(r, m) for r in ranks)
     cell_values = [component_values[c] for c in cond.comp_of]
-    return LyapunovAssignment(
-        cond.grid, tuple(cell_values), component_values, tuple(ranks)
-    )
+    return LyapunovAssignment(cond.grid, tuple(cell_values), component_values)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from chainposet.chaingraph import (
     grid_for,
     reaches_recurrent,
     recurrent_cells,
-    strongly_connected_components,
 )
 from chainposet.ordinal import OMEGA, ONE, ZERO, Ordinal, parse_ordinal
 from chainposet.systems import (
@@ -99,6 +98,12 @@ def cell_of(grid, x):
     """Index of a cell containing x, clamped to the ends."""
     k = int((x - grid.lo) / grid.width)
     return min(max(k, 0), grid.n - 1)
+
+
+def wrap(adj):
+    """A chain graph around a drawn adjacency, for `condense` alone."""
+    grid = Grid(F(0), F(1), len(adj))
+    return cg.ChainGraph(OrdinalMap(ZERO), grid, auto_field(grid), adj)
 
 
 def digraphs():
@@ -431,14 +436,15 @@ class TestComponents:
         @given(digraphs())
         @settings(max_examples=300, deadline=None)
         def check(adj):
-            comps, comp_of = strongly_connected_components(adj)
+            cond = condense(wrap(adj))
             want_comps, want_assign, _ = brute_components(adj)
-            got = sorted(tuple(c) for c in comps)
+            got = sorted(cond.members)
             want = sorted(tuple(sorted(c)) for c in want_comps)
             assert got == want
             for i in range(len(adj)):
+                assert i in cond.members[cond.comp_of[i]]
                 for j in range(len(adj)):
-                    same_got = comp_of[i] == comp_of[j]
+                    same_got = cond.comp_of[i] == cond.comp_of[j]
                     same_want = want_assign[i] == want_assign[j]
                     assert same_got == same_want
 
@@ -447,11 +453,41 @@ class TestComponents:
     @given(digraphs())
     @settings(max_examples=200, deadline=None)
     def test_emission_order_is_sinks_first(self, adj):
-        comps, comp_of = strongly_connected_components(adj)
+        comp_of = condense(wrap(adj)).comp_of
         for i, row in enumerate(adj):
             for j in row:
                 if comp_of[i] != comp_of[j]:
                     assert comp_of[j] < comp_of[i]
+
+    @given(digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_successors_against_brute_force(self, adj):
+        cond = condense(wrap(adj))
+        for c, cells in enumerate(cond.members):
+            want = {cond.comp_of[j] for i in cells for j in adj[i]} - {c}
+            assert cond.successors[c] == tuple(sorted(want))
+
+    @given(digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_recurrence_is_the_two_case_rule(self, adj):
+        # two or more cells, or a single cell with its self edge
+        cond = condense(wrap(adj))
+        for c, cells in enumerate(cond.members):
+            want = len(cells) > 1 or cells[0] in adj[cells[0]]
+            assert cond.recurrent[c] == want
+
+    def test_condense_memory_bound(self):
+        # one target set alive at a time: the peak is the returned value,
+        # about 2.6 MB, plus under 1 MB
+        spec = OrdinalMap(OMEGA)
+        g = build_chain_graph(spec, grid_for(spec, 1 << 14))
+        tracemalloc.start()
+        try:
+            condense(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @given(st.sampled_from(SMALL_SPECS), st.integers(4, 32), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chainposet import chaingraph
+from chainposet import cli, lyapunov
 from chainposet.chaingraph import ChainGraphError, ConstantField, PiecewiseField
 from chainposet.cli import (
     exit_status,
@@ -154,6 +154,8 @@ class TestConfigParse:
             ("system = ordinal\nlambda = 2\nresolutions = 64\ntasks = [dance]\n", 4),
             ("system = ordinal\nlambda = 2\nresolutions = 64\nsamples = 0\n", 4),
             ("system = cantor\ndepth = 1\nresolutions = [64, 128]\ndepths = [1, 2]\n", 4),
+            # two levels at one resolution would write one output file twice
+            ("system = dense_blocks\nresolutions = [64, 64]\ndepths = [1, 2]\n", 2),
             # the spec rejects these when built, after every key is parsed
             ("system = cantor\ndepth = 0\nresolutions = 64\n", 2),
             ("system = dense_blocks\nresolutions = [64, 128]\ndepths = [1, 30]\n", 3),
@@ -392,13 +394,12 @@ class TestRun:
     def test_one_condensation_per_level(self, monkeypatch, tasks, passes):
         # run_full condenses each level once; verify adds its own cross-check
         calls = []
-        tarjan = chaingraph.strongly_connected_components
+        for module in (cli, lyapunov):
+            def counted(graph, condense=module.condense):
+                calls.append(graph.n)
+                return condense(graph)
 
-        def counted(adjacency):
-            calls.append(len(adjacency))
-            return tarjan(adjacency)
-
-        monkeypatch.setattr(chaingraph, "strongly_connected_components", counted)
+            monkeypatch.setattr(module, "condense", counted)
         cfg = parse_config(
             f"system = ordinal\nlambda = w\nresolutions = [64, 128]\ntasks = {tasks}\n"
         )

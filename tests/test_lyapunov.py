@@ -111,7 +111,8 @@ class TestSynthesize:
     def test_ranks_are_a_permutation(self):
         g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 32), ConstantField(F(1, 16)))
         assignment = synthesize(condense(g))
-        assert sorted(assignment.ranks) == list(range(len(assignment.ranks)))
+        m = len(assignment.component_values)
+        assert sorted(assignment.component_values) == [cantor_value(r, m) for r in range(m)]
 
     def test_constant_on_components(self):
         g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 16), ConstantField(F(1, 16)))
@@ -137,9 +138,7 @@ class TestVerifyCatchesViolations:
         good = synthesize(condense(g))
         values = list(good.cell_values)
         values[1] = F(2, 9) if values[1] != F(2, 9) else F(2, 27)
-        bad = LyapunovAssignment(
-            good.grid, tuple(values), good.component_values, good.ranks
-        )
+        bad = LyapunovAssignment(good.grid, tuple(values), good.component_values)
         report = verify(bad, g)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["constancy"].passed
@@ -152,7 +151,7 @@ class TestVerifyCatchesViolations:
         good = synthesize(condense(g))
         top = max(good.cell_values)
         values = tuple(top - v for v in good.cell_values)
-        bad = LyapunovAssignment(good.grid, values, good.component_values, good.ranks)
+        bad = LyapunovAssignment(good.grid, values, good.component_values)
         report = verify(bad, g)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["edge_order"].passed
@@ -163,7 +162,7 @@ class TestVerifyCatchesViolations:
         good = synthesize(condense(g))
         values = tuple(F(1, 2) if v == max(good.cell_values) else v
                        for v in good.cell_values)
-        bad = LyapunovAssignment(good.grid, values, good.component_values, good.ranks)
+        bad = LyapunovAssignment(good.grid, values, good.component_values)
         report = verify(bad, g)
         assert not [c for c in report.checks if c.name == "value_set"][0].passed
 
@@ -177,9 +176,7 @@ class TestVerifyCatchesViolations:
         values = list(good.cell_values)
         for i in cond.members[rec[1]]:
             values[i] = keep
-        bad = LyapunovAssignment(
-            good.grid, tuple(values), good.component_values, good.ranks
-        )
+        bad = LyapunovAssignment(good.grid, tuple(values), good.component_values)
         report = verify(bad, g)
         assert not [c for c in report.checks if c.name == "injectivity"][0].passed
 
