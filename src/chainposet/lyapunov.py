@@ -14,10 +14,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .chaingraph import ChainGraph, Condensation, Grid, condense
-from .systems import SystemSpec, evaluate, image_intervals, is_increasing
+from .systems import SystemSpec, evaluate, image_intervals, is_increasing, values_at
 
 
 def cantor_value(rank: int, total: int) -> Fraction:
@@ -119,13 +119,20 @@ def _descent(
     Some point of cell i steps into each cell j whose closed cell meets
     the image of cell i, so each such j must sit in i's component at the
     same value, or strictly below it.  Values are compared through their
-    integer keys and named in the witness as they were given.
+    integer keys and named in the witness as they were given.  Each image
+    end is measured against the grid's integer ticks, so the cells it
+    meets are found by integer floor division.
     """
-    n, lo, hi, w = grid.n, grid.lo, grid.hi, grid.width
+    n = grid.n
+    d, first, step = grid.ticks
     # not chaingraph.cell_images: the certificate is checked against images
     # that the graph build did not produce
     if is_increasing(spec):
-        ys = [evaluate(spec, x) for x in grid.points()]
+        if 0 <= grid.lo and grid.hi <= 1:
+            ys = values_at(spec, range(first, first + step * n + 1, step), d)
+        else:
+            # a grid that leaves the domain fails here as evaluate fails
+            ys = [evaluate(spec, x) for x in grid.points()]
         images = [((ys[i], ys[i + 1]),) for i in range(n)]
     else:
         images = [image_intervals(spec, *grid.cell(i)) for i in range(n)]
@@ -133,13 +140,18 @@ def _descent(
     skipped = 0
     for i, parts in enumerate(images):
         for p, q in parts:
-            if q < lo or p > hi:
+            pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+            # (x - lo)/w is (xn*d - first*xd)/(xd*step) for x = xn/xd
+            rp = pn * d - first * pd
+            rq = qn * d - first * qd
+            if rq < 0 or rp > n * step * pd:
                 skipped += 1
                 continue
-            for j in range(
-                max(0, math.ceil((p - lo) / w) - 1),
-                min(n - 1, math.floor((q - lo) / w)) + 1,
-            ):
+            # the closed cells that meet [p, q] run from ceil((p - lo)/w) - 1
+            # to floor((q - lo)/w)
+            j_lo = max(0, -(-rp // (pd * step)) - 1)
+            j_hi = min(n - 1, rq // (qd * step))
+            for j in range(j_lo, j_hi + 1):
                 if comp_of[i] == comp_of[j]:
                     if keys[i] != keys[j]:
                         return CheckResult(
@@ -184,20 +196,29 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
     constancy = CheckResult("constancy", True)
     for members in cond.members:
         if len({keys[i] for i in members}) > 1:
+            a = members[0]
+            b = next(i for i in members if keys[i] != keys[a])
             constancy = CheckResult(
                 "constancy", False,
-                f"cells {members[0]} and {members[-1]} share a component "
-                f"but carry different values",
+                f"cells {a} and {b} share a component but carry different "
+                f"values ({values[a]} vs {values[b]})",
             )
             break
 
-    rec_keys = [keys[members[0]]
-                for members, flag in zip(cond.members, cond.recurrent) if flag]
     injectivity = CheckResult("injectivity", True)
-    if len(set(rec_keys)) != len(rec_keys):
-        injectivity = CheckResult(
-            "injectivity", False, "two recurrent components share a value"
-        )
+    # each recurrent component's first cell, by its value's key
+    first_cell: Dict[int, int] = {}
+    for members, flag in zip(cond.members, cond.recurrent):
+        if flag:
+            b = members[0]
+            a = first_cell.setdefault(keys[b], b)
+            if a != b:
+                injectivity = CheckResult(
+                    "injectivity", False,
+                    f"the recurrent components of cells {a} and {b} share "
+                    f"the value {values[b]}",
+                )
+                break
 
     edge_order = CheckResult("edge_order", True)
     for i, row in enumerate(graph.adjacency):

@@ -6,10 +6,13 @@ oracles scan the order pairs, so they hold for any relation, reversed
 pairs included, and check the package's mask queries.
 """
 
+import math
 from fractions import Fraction
+from typing import List, Tuple
 
-from chainposet.chaingraph import ChainGraph, ComponentPoset
-from chainposet.systems import image_intervals
+from chainposet.chaingraph import ChainGraph, ComponentPoset, Condensation, Grid
+from chainposet.lyapunov import CheckResult
+from chainposet.systems import SystemSpec, evaluate, image_intervals, is_increasing
 
 
 def reference_cantor_value(rank: int, total: int) -> Fraction:
@@ -103,3 +106,55 @@ def reference_build(spec, grid, eps):
                 row.append(j)
         adjacency.append(tuple(row))
     return tuple(adjacency)
+
+
+# the descent check on Fractions: each image end's quotient by the cell
+# width, rounded by math.ceil and math.floor
+def reference_descent(
+    spec: SystemSpec,
+    grid: Grid,
+    cond: Condensation,
+    values: Tuple[Fraction, ...],
+    keys: List[int],
+) -> Tuple[CheckResult, int]:
+    """Descent over the exact cell images, and the count of image parts
+    that lie wholly outside the grid.
+
+    Some point of cell i steps into each cell j whose closed cell meets
+    the image of cell i, so each such j must sit in i's component at the
+    same value, or strictly below it.  Values are compared through their
+    integer keys and named in the witness as they were given.
+    """
+    n, lo, hi, w = grid.n, grid.lo, grid.hi, grid.width
+    # not chaingraph.cell_images: the certificate is checked against images
+    # that the graph build did not produce
+    if is_increasing(spec):
+        ys = [evaluate(spec, x) for x in grid.points()]
+        images = [((ys[i], ys[i + 1]),) for i in range(n)]
+    else:
+        images = [image_intervals(spec, *grid.cell(i)) for i in range(n)]
+    comp_of = cond.comp_of
+    skipped = 0
+    for i, parts in enumerate(images):
+        for p, q in parts:
+            if q < lo or p > hi:
+                skipped += 1
+                continue
+            for j in range(
+                max(0, math.ceil((p - lo) / w) - 1),
+                min(n - 1, math.floor((q - lo) / w)) + 1,
+            ):
+                if comp_of[i] == comp_of[j]:
+                    if keys[i] != keys[j]:
+                        return CheckResult(
+                            "descent", False,
+                            f"cell {i} steps into cell {j} of its own component "
+                            f"but changes value",
+                        ), skipped
+                elif not keys[i] > keys[j]:
+                    return CheckResult(
+                        "descent", False,
+                        f"cell {i} steps into cell {j} without descending "
+                        f"({values[i]} vs {values[j]})",
+                    ), skipped
+    return CheckResult("descent", True), skipped

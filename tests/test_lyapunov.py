@@ -1,12 +1,14 @@
 """Lyapunov synthesis and certification tests."""
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chainposet.chaingraph import (
+    ChainGraph,
     ConstantField,
     Grid,
     build_chain_graph,
@@ -15,21 +17,26 @@ from chainposet.chaingraph import (
     grid_for,
 )
 from chainposet.lyapunov import (
+    CheckResult,
     LyapunovAssignment,
+    _descent,
     cantor_value,
     in_middle_third_set,
     synthesize,
     verify,
 )
-from chainposet.ordinal import OMEGA, ONE, ZERO, Ordinal
+from chainposet.ordinal import OMEGA, ONE, ZERO, Ordinal, parse_ordinal
 from chainposet.systems import (
     CantorExample,
+    Conjugated,
     DenseBlocks,
     OrdinalMap,
+    PLHomeo,
     Variant,
+    is_open,
 )
 
-from oracles import reference_cantor_value
+from oracles import reference_cantor_value, reference_descent
 
 CLOSED_SPECS = [
     OrdinalMap(ZERO),
@@ -178,7 +185,26 @@ class TestVerifyCatchesViolations:
             values[i] = keep
         bad = LyapunovAssignment(good.grid, tuple(values), good.component_values)
         report = verify(bad, g)
-        assert not [c for c in report.checks if c.name == "injectivity"][0].passed
+        injectivity = [c for c in report.checks if c.name == "injectivity"][0]
+        assert not injectivity.passed
+        assert injectivity.witness == (
+            "the recurrent components of cells 0 and 13 share the value 0"
+        )
+
+    def test_constancy_witness_names_cells_that_differ(self):
+        # one component of cells 0-7: only cell 1 leaves its value, so the
+        # witness pairs cell 0 with cell 1, not with cell 7, which keeps it
+        spec = OrdinalMap(ZERO)
+        g = build_chain_graph(spec, grid_for(spec, 8))
+        good = synthesize(condense(g))
+        assert good.cell_values == (F(0),) * 8
+        values = list(good.cell_values)
+        values[1] = F(2, 9)
+        bad = dataclasses.replace(good, cell_values=tuple(values))
+        constancy = [c for c in verify(bad, g).checks if c.name == "constancy"][0]
+        assert constancy.witness == (
+            "cells 0 and 1 share a component but carry different values (0 vs 2/9)"
+        )
 
     def ordinal_graph(self):
         spec = OrdinalMap(Ordinal.from_int(2))
@@ -301,3 +327,98 @@ class TestOpenDomainNotes:
         report = verify(synthesize(condense(g)), g)
         assert report.all_passed
         assert any("skipped" in note for note in report.notes)
+
+
+def keys_of(values):
+    """verify's integer keys: each value's numerator over one denominator."""
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+DESCENT_INDICES = [
+    ZERO, ONE, Ordinal.from_int(2), Ordinal.from_int(3), OMEGA,
+    parse_ordinal("w+1"), parse_ordinal("w*2"), parse_ordinal("w^2"),
+]
+DESCENT_HOMEOS = [
+    PLHomeo([(0, 0), (F(1, 3), F(1, 2)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 3), F(13, 48)), (F(2, 3), F(35, 48)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 5), F(2, 9)), (F(4, 7), F(5, 11)), (1, 1)]),
+]
+bare_specs = st.one_of(
+    st.sampled_from(DESCENT_INDICES).map(OrdinalMap),
+    st.integers(1, 4).map(CantorExample),
+    st.builds(DenseBlocks, st.integers(0, 3), st.sampled_from(list(Variant))),
+)
+descent_specs = st.one_of(
+    bare_specs, st.builds(Conjugated, bare_specs, st.sampled_from(DESCENT_HOMEOS))
+)
+
+
+@st.composite
+def descent_cases(draw):
+    """A graph on the spec's own grid or on a sub-interval of its domain,
+    with honest values or with one cell's value moved."""
+    spec = draw(descent_specs)
+    n = draw(st.integers(1, 128))
+    if draw(st.booleans()):
+        grid = grid_for(spec, n)
+    else:
+        ends = st.fractions(min_value=0, max_value=1, max_denominator=24)
+        if is_open(spec):
+            ends = ends.filter(lambda t: 0 < t < 1)
+        lo, hi = sorted((draw(ends), draw(ends)))
+        assume(lo < hi)
+        grid = Grid(lo, hi, n)
+    eps = draw(st.one_of(
+        st.none(), st.integers(1, 6).map(lambda a: ConstantField(F(a, 2 * n)))
+    ))
+    g = build_chain_graph(spec, grid, eps)
+    cond = condense(g)
+    values = list(synthesize(cond).cell_values)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        values[i] = draw(st.one_of(
+            st.sampled_from(values),
+            st.fractions(min_value=0, max_value=1, max_denominator=100),
+        ))
+    return g, cond, tuple(values)
+
+
+class TestIntegerDescent:
+    @given(descent_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_descent(self, case):
+        g, cond, values = case
+        args = (g.spec, g.grid, cond, values, keys_of(values))
+        assert _descent(*args) == reference_descent(*args)
+
+    # the two-plateau map takes the values 0 and 3/4 only; a part that ends
+    # exactly on an end of the grid meets the end cell, and is not skipped
+    @pytest.mark.parametrize("grid, skipped", [
+        (Grid(F(0), F(3, 4), 6), 0),
+        (Grid(F(3, 4), F(1), 4), 0),
+        (Grid(F(1, 4), F(3, 4), 4), 4),
+    ])
+    def test_parts_at_the_grid_ends_are_checked(self, grid, skipped):
+        g = build_chain_graph(DenseBlocks(0, Variant.WITH_MAX), grid)
+        cond = condense(g)
+        values = synthesize(cond).cell_values
+        args = (g.spec, grid, cond, values, keys_of(values))
+        assert _descent(*args) == reference_descent(*args) == (
+            CheckResult("descent", True), skipped
+        )
+
+    def test_grid_outside_the_domain_raises_as_evaluate_does(self):
+        spec = OrdinalMap(ONE)
+        grid = Grid(F(-1, 4), F(1), 5)
+        g = ChainGraph(spec, grid, ConstantField(F(1, 4)), tuple((i,) for i in range(5)))
+        cond = condense(g)
+        values = synthesize(cond).cell_values
+        args = (spec, grid, cond, values, keys_of(values))
+        with pytest.raises(ValueError) as reference:
+            reference_descent(*args)
+        with pytest.raises(ValueError) as integer:
+            _descent(*args)
+        assert str(integer.value) == str(reference.value) == "-1/4 outside the domain"
+        with pytest.raises(ValueError, match="outside the domain"):
+            verify(synthesize(cond), g)

@@ -49,5 +49,9 @@ def test_traced_run_counts_the_layers():
         tracer.uninstall()
     assert tracer.calls["cli.run_full"] == 1
     assert tracer.totals["chaingraph.cells"] > 0
-    assert tracer.calls["systems.evaluate.verify"] > 0
+    # verify evaluates an in-domain grid in one values_at call, as the build
+    # does, so neither calls evaluate point by point
+    assert tracer.calls["lyapunov.verify"] == 1
+    assert tracer.calls["systems.evaluate.verify"] == 0
+    assert tracer.calls["systems.evaluate.build"] == 0
     assert cli.run_full is original
