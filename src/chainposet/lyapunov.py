@@ -14,6 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .chaingraph import ChainGraph, Condensation, Grid, condense
@@ -30,9 +31,28 @@ def cantor_value(rank: int, total: int) -> Fraction:
         raise ValueError("total must be positive")
     if not 0 <= rank < total:
         raise ValueError("rank out of range")
-    bits = (total - 1).bit_length()
+    return Fraction(_doubled_digits(rank), 3 ** (total - 1).bit_length())
+
+
+def _doubled_digits(rank: int) -> int:
     # the numerator over 3^bits: the binary digits, each 1 doubled, read in base 3
-    return Fraction(int(f"{rank:b}".replace("1", "2"), 3), 3**bits)
+    return int(f"{rank:b}".replace("1", "2"), 3)
+
+
+# base-3 digits are read _CHUNK_DIGITS at a time; a chunk passes when it is
+# one of the 2^_CHUNK_DIGITS numbers below _CHUNK whose digits are 0 and 2
+_CHUNK_DIGITS = 8
+_CHUNK = 3**_CHUNK_DIGITS
+_DIGITS_0_2 = frozenset(_doubled_digits(r) for r in range(2**_CHUNK_DIGITS))
+
+
+def _only_digits_0_2(p: int) -> bool:
+    """True when every base-3 digit of p >= 0 is 0 or 2."""
+    while p:
+        p, chunk = divmod(p, _CHUNK)
+        if chunk not in _DIGITS_0_2:
+            return False
+    return True
 
 
 def in_middle_third_set(x: Fraction) -> bool:
@@ -42,14 +62,8 @@ def in_middle_third_set(x: Fraction) -> bool:
     p, q = x.numerator, x.denominator
     while q % 3 == 0:
         q //= 3
-    if q != 1:
-        return False
     # x = p/3^k, so the expansion's digits are the k base-3 digits of p
-    while p:
-        p, digit = divmod(p, 3)
-        if digit == 1:
-            return False
-    return True
+    return q == 1 and _only_digits_0_2(p)
 
 
 @dataclass(frozen=True)
@@ -84,7 +98,8 @@ def synthesize(cond: Condensation) -> LyapunovAssignment:
             pending[u] -= 1
             if pending[u] == 0:
                 heapq.heappush(ready, (cond.members[u][0], u))
-    component_values = tuple(cantor_value(r, m) for r in ranks)
+    three_bits = 3 ** (m - 1).bit_length()
+    component_values = tuple(Fraction(_doubled_digits(r), three_bits) for r in ranks)
     cell_values = [component_values[c] for c in cond.comp_of]
     return LyapunovAssignment(cond.grid, tuple(cell_values), component_values)
 
@@ -125,6 +140,12 @@ def _descent(
     """
     n = grid.n
     d, first, step = grid.ticks
+
+    def ceil_floor(y: Fraction) -> Tuple[int, int]:
+        # (y - lo)/w is (yn*d - first*yd)/(yd*step) for y = yn/yd
+        r, t = y.numerator * d - first * y.denominator, y.denominator * step
+        return -(-r // t), r // t
+
     # not chaingraph.cell_images: the certificate is checked against images
     # that the graph build did not produce
     if is_increasing(spec):
@@ -133,39 +154,65 @@ def _descent(
         else:
             # a grid that leaves the domain fails here as evaluate fails
             ys = [evaluate(spec, x) for x in grid.points()]
-        images = [((ys[i], ys[i + 1]),) for i in range(n)]
+        # cell i's image is [ys[i], ys[i + 1]]; each value is measured once
+        ceils, floors = [], []
+        for y in ys:
+            c, f = ceil_floor(y)
+            ceils.append(c)
+            floors.append(f)
+        del ys
+        spans = zip(range(n), ceils, islice(floors, 1, None))
     else:
         images = [image_intervals(spec, *grid.cell(i)) for i in range(n)]
+        spans = (
+            (i, ceil_floor(p)[0], ceil_floor(q)[1])
+            for i, parts in enumerate(images) for p, q in parts
+        )
     comp_of = cond.comp_of
     skipped = 0
-    for i, parts in enumerate(images):
-        for p, q in parts:
-            pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
-            # (x - lo)/w is (xn*d - first*xd)/(xd*step) for x = xn/xd
-            rp = pn * d - first * pd
-            rq = qn * d - first * qd
-            if rq < 0 or rp > n * step * pd:
-                skipped += 1
-                continue
-            # the closed cells that meet [p, q] run from ceil((p - lo)/w) - 1
-            # to floor((q - lo)/w)
-            j_lo = max(0, -(-rp // (pd * step)) - 1)
-            j_hi = min(n - 1, rq // (qd * step))
-            for j in range(j_lo, j_hi + 1):
-                if comp_of[i] == comp_of[j]:
-                    if keys[i] != keys[j]:
-                        return CheckResult(
-                            "descent", False,
-                            f"cell {i} steps into cell {j} of its own component "
-                            f"but changes value",
-                        ), skipped
-                elif not keys[i] > keys[j]:
+    # (i, c, f) for each part [p, q] of cell i's image, with c = ceil((p - lo)/w)
+    # and f = floor((q - lo)/w): the part lies wholly outside the grid when
+    # f < 0 or c > n, and otherwise meets the closed cells c - 1 to f
+    for i, c, f in spans:
+        if f < 0 or c > n:
+            skipped += 1
+            continue
+        comp, key = comp_of[i], keys[i]
+        for j in range(max(0, c - 1), min(n - 1, f) + 1):
+            if comp_of[j] == comp:
+                if keys[j] != key:
                     return CheckResult(
                         "descent", False,
-                        f"cell {i} steps into cell {j} without descending "
-                        f"({values[i]} vs {values[j]})",
+                        f"cell {i} steps into cell {j} of its own component "
+                        f"but changes value",
                     ), skipped
+            elif not key > keys[j]:
+                return CheckResult(
+                    "descent", False,
+                    f"cell {i} steps into cell {j} without descending "
+                    f"({values[i]} vs {values[j]})",
+                ), skipped
     return CheckResult("descent", True), skipped
+
+
+def _value_set(values: Tuple[Fraction, ...], keys: List[int], den: int) -> CheckResult:
+    """Whether every value lies in the middle-third set, read off the keys.
+
+    With den = 3^K*m and m prime to 3, the value key/den has a power of 3
+    as its denominator exactly when m divides the key, and then its base-3
+    digits are the K digits of key // m.  Distinct keys are checked in
+    order of first use, so the witness is the first offending cell.
+    """
+    m = den
+    while m % 3 == 0:
+        m //= 3
+    for key in dict.fromkeys(keys):
+        if not (0 <= key < den and key % m == 0 and _only_digits_0_2(key // m)):
+            i = keys.index(key)
+            return CheckResult(
+                "value_set", False, f"cell {i} carries {values[i]}, outside the value set"
+            )
+    return CheckResult("value_set", True)
 
 
 def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationReport:
@@ -195,7 +242,7 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
 
     constancy = CheckResult("constancy", True)
     for members in cond.members:
-        if len({keys[i] for i in members}) > 1:
+        if len(members) > 1 and len({keys[i] for i in members}) > 1:
             a = members[0]
             b = next(i for i in members if keys[i] != keys[a])
             constancy = CheckResult(
@@ -221,9 +268,11 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
                 break
 
     edge_order = CheckResult("edge_order", True)
+    comp_of = cond.comp_of
     for i, row in enumerate(graph.adjacency):
+        comp, key = comp_of[i], keys[i]
         for j in row:
-            if cond.comp_of[i] != cond.comp_of[j] and not keys[i] > keys[j]:
+            if comp_of[j] != comp and not key > keys[j]:
                 edge_order = CheckResult(
                     "edge_order", False,
                     f"edge {i} -> {j} does not descend "
@@ -237,18 +286,7 @@ def verify(assignment: LyapunovAssignment, graph: ChainGraph) -> CertificationRe
     if skipped:
         notes.append(f"descent: skipped {skipped} image parts outside the grid")
 
-    value_set = CheckResult("value_set", True)
-    # distinct values in order of first use, so the witness is the first
-    # offending cell
-    for v in dict.fromkeys(values):
-        if not in_middle_third_set(v):
-            value_set = CheckResult(
-                "value_set", False,
-                f"cell {values.index(v)} carries {v}, outside the value set",
-            )
-            break
-
     return CertificationReport(
-        (descent, constancy, injectivity, edge_order, value_set),
+        (descent, constancy, injectivity, edge_order, _value_set(values, keys, den)),
         tuple(notes),
     )

@@ -190,8 +190,9 @@ def is_increasing(spec: SystemSpec) -> bool:
 # transfinite family
 
 
-def _descend(index: Ordinal, ps: Sequence[int], q: int) -> List[Fraction]:
-    """Values of the index map at p/q for strictly increasing p in 0..q.
+def _descend(index: Ordinal, ps: Sequence[int], q: int, make=Fraction) -> list:
+    """Values of the index map at p/q for strictly increasing p in 0..q,
+    each as make(numerator, denominator) with a positive denominator.
 
     One iterative descent on integers over a fixed q: a group of points
     that takes the same successor halvings, or falls in the same limit
@@ -199,7 +200,7 @@ def _descend(index: Ordinal, ps: Sequence[int], q: int) -> List[Fraction]:
     its points so far (s + inner)/c, where inner is the current index's map
     at p/q.  The ordinal work is done once per group, and only the
     numerators p are rewritten.  The block index (unbounded near 1) never
-    turns into stack depth, and only the returned values are normalised.
+    turns into stack depth, and each returned value is made once.
     """
     start = index
     cur = list(ps)
@@ -216,18 +217,18 @@ def _descend(index: Ordinal, ps: Sequence[int], q: int) -> List[Fraction]:
                 f"{Fraction(ps[lo], q)} took more than {MAX_DESCENT_STEPS} descent steps"
             )
         if cur[lo] == 0:
-            out[lo] = Fraction(s, c)
+            out[lo] = make(s, c)
             lo += 1
         if lo < hi and cur[hi - 1] == q:
             hi -= 1
-            out[hi] = Fraction(s + 1, c)
+            out[hi] = make(s + 1, c)
         if lo == hi:
             continue
         terms = index.terms
         if not terms:
             # index 0: x
             for k in range(lo, hi):
-                out[k] = Fraction(s * q + cur[k], c * q)
+                out[k] = make(s * q + cur[k], c * q)
             continue
         exp, m = terms[-1]
         if not exp.terms:
@@ -235,13 +236,13 @@ def _descend(index: Ordinal, ps: Sequence[int], q: int) -> List[Fraction]:
             if len(terms) == 1 and m == 1:
                 # index 1: x^2
                 for k in range(lo, hi):
-                    out[k] = Fraction(s * qq + cur[k] ** 2, c * qq)
+                    out[k] = make(s * qq + cur[k] ** 2, c * qq)
                 continue
             # above 1/2, inner = x^2 - x/2 + 1/2
             mid = bisect.bisect_right(cur, q >> 1, lo, hi)
             for k in range(mid, hi):
                 p = cur[k]
-                out[k] = Fraction(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
+                out[k] = make(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
             # runs of t successor halvings at once, each one step: a run ends
             # where x passes 1/2, or where the finite tail m runs out (at 1
             # when the whole index is m, since index 1 is the square); below
@@ -467,14 +468,46 @@ def values_at(spec: SystemSpec, ps: Sequence[int], q: int) -> List[Fraction]:
     if isinstance(spec, DenseBlocks):
         return [_eval_dense(spec, Fraction(p, q)) for p in ps]
     if isinstance(spec, Conjugated):
-        # h^-1 is increasing, so the pulled-back points stay sorted over the
-        # lcm of their denominators, and the inner map takes them in one call
-        h = spec.homeo
-        xs = [h.invert(Fraction(p, q)) for p in ps]
-        d = math.lcm(*(x.denominator for x in xs))
-        inner = values_at(spec.inner, [x.numerator * (d // x.denominator) for x in xs], d)
-        return [h.apply(y) for y in inner]
+        return _conjugated_values_at(spec, ps, q)
     raise TypeError(f"unknown system spec {spec!r}")
+
+
+def _conjugated_values_at(spec: Conjugated, ps: Sequence[int], q: int) -> List[Fraction]:
+    """h(f(h^-1(p/q))) for strictly increasing p, on integers until the end.
+
+    h^-1 takes p/q on its piece (a, b, d) to (a*p + b*q)/(d*q), so over
+    L*q, L the lcm of the pieces' d, every pulled-back point is an integer
+    numerator, and they stay sorted since h^-1 increases.  The inner map's
+    values come back as (numerator, denominator) pairs, h is applied to
+    them the same way, and each pair is replaced in place by its one
+    normalised Fraction.
+    """
+    # p increases, so its ends decide
+    if ps and not (0 <= ps[0] and ps[-1] <= q):
+        raise ValueError("argument outside [0, 1]")
+    h = spec.homeo
+    den, cuts, pieces = h._backward
+    lcm = math.lcm(*(d for _, _, d in pieces))
+    over_lcm = [(a * (lcm // d), b * (lcm // d)) for a, b, d in pieces]
+    # c/den <= p/q exactly when c <= floor(p*den/q), as in _pl_apply
+    xs = []
+    for p in ps:
+        a, b = over_lcm[bisect.bisect_right(cuts, p * den // q)]
+        xs.append(a * p + b * q)
+    if isinstance(spec.inner, OrdinalMap):
+        ys = _descend(spec.inner.index, xs, lcm * q, _pair)
+    else:
+        ys = [y.as_integer_ratio() for y in values_at(spec.inner, xs, lcm * q)]
+    del xs
+    den, cuts, pieces = h._forward
+    for k, (yn, yd) in enumerate(ys):
+        a, b, d = pieces[bisect.bisect_right(cuts, yn * den // yd)]
+        ys[k] = Fraction(a * yn + b * yd, d * yd)
+    return ys
+
+
+def _pair(numerator: int, denominator: int) -> Tuple[int, int]:
+    return numerator, denominator
 
 
 def evaluate(spec: SystemSpec, x: Fraction) -> Fraction:

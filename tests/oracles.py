@@ -158,3 +158,33 @@ def reference_descent(
                         f"({values[i]} vs {values[j]})",
                     ), skipped
     return CheckResult("descent", True), skipped
+
+
+def reference_in_middle_third_set(x: Fraction) -> bool:
+    """x lies in [0, 1), its denominator is a power of 3, and its numerator
+    over that power has no base-3 digit 1, read one digit at a time."""
+    if not 0 <= x < 1:
+        return False
+    p, q = x.numerator, x.denominator
+    while q % 3 == 0:
+        q //= 3
+    if q != 1:
+        return False
+    while p:
+        p, digit = divmod(p, 3)
+        if digit == 1:
+            return False
+    return True
+
+
+# the value-set check on Fractions: each distinct value tested on its own
+def reference_value_set(values: Tuple[Fraction, ...]) -> CheckResult:
+    # distinct values in order of first use, so the witness is the first
+    # offending cell
+    for v in dict.fromkeys(values):
+        if not reference_in_middle_third_set(v):
+            return CheckResult(
+                "value_set", False,
+                f"cell {values.index(v)} carries {v}, outside the value set",
+            )
+    return CheckResult("value_set", True)

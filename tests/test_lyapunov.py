@@ -20,6 +20,7 @@ from chainposet.lyapunov import (
     CheckResult,
     LyapunovAssignment,
     _descent,
+    _value_set,
     cantor_value,
     in_middle_third_set,
     synthesize,
@@ -36,7 +37,12 @@ from chainposet.systems import (
     is_open,
 )
 
-from oracles import reference_cantor_value, reference_descent
+from oracles import (
+    reference_cantor_value,
+    reference_descent,
+    reference_in_middle_third_set,
+    reference_value_set,
+)
 
 CLOSED_SPECS = [
     OrdinalMap(ZERO),
@@ -100,6 +106,51 @@ class TestMembership:
     def test_non_members(self):
         for x in [F(1, 2), F(1, 3), F(1, 9), F(3, 4), F(5, 9), F(-1, 3), F(7, 6), F(1)]:
             assert not in_middle_third_set(x)
+
+
+# values in and out of the middle-third set: synthesized ones, ones a digit
+# or a denominator away from them, and ones outside [0, 1)
+cantor_values = st.integers(1, 2**20).flatmap(
+    lambda total: st.integers(0, total - 1).map(lambda r: cantor_value(r, total))
+)
+set_candidates = st.one_of(
+    cantor_values,
+    cantor_values.map(lambda v: 1 - v),
+    st.integers(0, 12).flatmap(
+        lambda k: st.integers(-2 * 3**k, 4 * 3**k).map(lambda a: F(a, 2 * 3**k))
+    ),
+    st.integers(0, 30).flatmap(lambda k: st.integers(0, 3**k).map(lambda a: F(a, 3**k))),
+    st.fractions(min_value=1, max_value=3, max_denominator=81),
+    st.fractions(min_value=-3, max_value=0, max_denominator=81),
+    st.fractions(max_denominator=1000),
+)
+
+
+class TestValueSet:
+    @given(st.one_of(
+        st.lists(cantor_values, min_size=1, max_size=30),
+        st.lists(set_candidates, min_size=1, max_size=30),
+        st.tuples(st.lists(cantor_values, min_size=1, max_size=30), set_candidates)
+        .map(lambda case: case[0] + [case[1]] + case[0]),
+    ))
+    @settings(max_examples=500, deadline=None)
+    @example([F(0), F(2, 3), F(1)])
+    @example([F(2, 9), F(-2, 9)])
+    @example([F(2, 3), F(1, 6), F(2, 9)])
+    @example([F(20, 27), F(2, 3**9) + F(2, 3**10), F(1, 3**9)])
+    # keys whose quotient by m, or whose digits alone, would pass: 1/6 and
+    # 1/18 are 0 in the quotient, and 20/9 = 202 in base 3
+    @example([F(2, 3), F(1, 6)])
+    @example([F(0), F(2, 9), F(1, 18)])
+    @example([F(8, 9), F(20, 9)])
+    @example([F(2, 3), F(-2, 3)])
+    def test_keys_match_the_values(self, values):
+        values = tuple(values)
+        keys = keys_of(values)
+        den = math.lcm(*{v.denominator for v in values})
+        assert _value_set(values, keys, den) == reference_value_set(values)
+        for v in values:
+            assert in_middle_third_set(v) == reference_in_middle_third_set(v)
 
 
 class TestSynthesize:

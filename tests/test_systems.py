@@ -7,12 +7,13 @@ insertions, middle-third dips) and pin the implementation down exactly.
 
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chainposet.chaingraph import Grid, cell_images
+from chainposet.chaingraph import Grid, cell_images, grid_for
 from chainposet.ordinal import (
     OMEGA,
     ONE,
@@ -394,6 +395,31 @@ class TestConjugated:
         assert is_increasing(Conjugated(OrdinalMap(ONE), SAMPLE_HOMEO))
         assert not is_increasing(Conjugated(DenseBlocks(1), SAMPLE_HOMEO))
 
+    @pytest.mark.parametrize("inner", [OrdinalMap(ONE), CantorExample(2), DenseBlocks(1)])
+    @pytest.mark.parametrize("ps, q", [([-1, 0, 1], 2), ([0, 1, 3], 2), ([5], 4)])
+    def test_grid_values_outside_the_unit_interval_raise(self, inner, ps, q):
+        with pytest.raises(ValueError, match=r"^argument outside \[0, 1\]$"):
+            systems.values_at(Conjugated(inner, SAMPLE_HOMEO), ps, q)
+
+    def test_grid_values_memory(self):
+        # the certify benchmark's seed-0 system on its 4,097 grid points: the
+        # pulled-back points are integers and the inner values are replaced
+        # in place, so the peak stays within twice the list returned
+        spec = Conjugated(OrdinalMap(OMEGA), BREAKPOINT_HOMEOS[0])
+        d, first, step = grid_for(spec, 4096).ticks
+        ps = range(first, first + step * 4096 + 1, step)
+        # the first call fills the homeomorphism's tables and the ordinal caches
+        systems.values_at(spec, ps, d)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = systems.values_at(spec, ps, d)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 4097
+        assert peak - before <= 2 * (after - before)
+
 
 class TestImageIntervals:
     def test_increasing_single_interval(self):
@@ -750,6 +776,21 @@ class TestAgainstFractionReference:
         if h is not None:
             want = [reference_pl_apply(h.points, y) for y in want]
         assert grid_values(spec, grid) == want
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), pl_homeos(), st.integers(1, 64), st.data())
+    def test_conjugated_plateau_values_match(self, variant, depth, h, q, data):
+        inner = DenseBlocks(depth, variant)
+        lo, hi = (1, q - 1) if is_open(inner) else (0, q)
+        assume(lo <= hi)
+        ps = sorted(data.draw(st.lists(st.integers(lo, hi), min_size=1, unique=True)))
+        back = tuple((b, a) for a, b in h.points)
+        want = [
+            reference_pl_apply(h.points, evaluate(inner, reference_pl_apply(back, F(p, q))))
+            for p in ps
+        ]
+        assert systems.values_at(Conjugated(inner, h), ps, q) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
