@@ -28,14 +28,15 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, List, Optional, Tuple, Union
+from itertools import islice
+from typing import FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .systems import (
     SystemSpec,
     _PLTable,
     _pl_apply,
     _pl_table,
-    evaluate,
+    evaluate,  # unused, kept for perfbench/tracing.py to wrap
     image_intervals,
     is_increasing,
     is_open,
@@ -77,6 +78,11 @@ class Grid:
         lo, w = self.lo, self.width
         d = math.lcm(lo.denominator, w.denominator)
         return d, lo.numerator * (d // lo.denominator), w.numerator * (d // w.denominator)
+
+    def offset(self, y: Fraction) -> Tuple[int, int]:
+        """(r, t) with (y - lo)/w = r/t and t > 0: y measured in cell widths."""
+        d, first, step = self.ticks
+        return y.numerator * d - first * y.denominator, y.denominator * step
 
     def cell(self, i: int) -> Tuple[Fraction, Fraction]:
         if not 0 <= i < self.n:
@@ -179,20 +185,15 @@ class ChainGraph:
         return sum(len(row) for row in self.adjacency)
 
 
-def cell_images(
-    spec: SystemSpec, grid: Grid
-) -> List[Tuple[Tuple[Fraction, Fraction], ...]]:
-    """Exact image of every closed cell, as sorted disjoint intervals."""
+def cell_images(spec: SystemSpec, grid: Grid) -> Iterator[Tuple[Tuple[Fraction, Fraction], ...]]:
+    """Exact image of each closed cell in turn, as sorted disjoint intervals."""
     if is_increasing(spec):
-        if 0 <= grid.lo and grid.hi <= 1:
-            # every point in one call, as numerators over one denominator
-            d, first, step = grid.ticks
-            vals = values_at(spec, range(first, first + step * grid.n + 1, step), d)
-        else:
-            # a grid that leaves the domain fails here as evaluate fails
-            vals = [evaluate(spec, x) for x in grid.points()]
-        return [((vals[i], vals[i + 1]),) for i in range(grid.n)]
-    return [image_intervals(spec, *grid.cell(i)) for i in range(grid.n)]
+        # every point in one call, as numerators over one denominator; cell
+        # i's image is the one interval between values i and i + 1
+        d, first, step = grid.ticks
+        ys = values_at(spec, range(first, first + step * grid.n + 1, step), d)
+        return zip(zip(ys, islice(ys, 1, None)))
+    return (image_intervals(spec, *grid.cell(i)) for i in range(grid.n))
 
 
 def build_chain_graph(
@@ -202,37 +203,36 @@ def build_chain_graph(
 ) -> ChainGraph:
     """Exact transition graph of single chain steps on the grid.
 
-    Every image end and slack is measured against the grid's integer
-    ticks, so each target bound is one integer floor division.  All rows'
-    ranges are counted before any row is built, so an over-budget graph is
+    Every image end and slack is measured in cell widths on integers, so
+    each target bound is one integer floor division.  All rows' ranges
+    are counted before any row is built, so an over-budget graph is
     refused before it takes its memory.
     """
     if eps is None:
         eps = auto_field(grid)
-    parts = cell_images(spec, grid)
     n = grid.n
-    d, first, step = grid.ticks
+    d, _, step = grid.ticks
+    offset = grid.offset
     # merged target ranges [starts[k], ends[k]] of cell i for k in
     # offsets[i]:offsets[i+1], and whether cell i's image meets cell i
     starts, ends, offsets = array("i"), array("i"), array("q", [0])
     hits_self = bytearray(n)
-    for i in range(n):
+    for i, parts in enumerate(cell_images(spec, grid)):
         ranges: List[Tuple[int, int]] = []
-        for p, q in parts[i]:
+        for p, q in parts:
             t = eps.sup_over(p, q)
-            pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
-            tn, td = t.numerator, t.denominator
-            # (x - lo)/w is (xn*d - first*xd)/(xd*step) for x = xn/xd
-            rp = pn * d - first * pd
-            rq = qn * d - first * qd
+            # (p - lo)/w = rp/tp, (q - lo)/w = rq/tq and t/w = sn/sd
+            rp, tp = offset(p)
+            rq, tq = offset(q)
+            sn, sd = t.numerator * d, t.denominator * step
             # first j with cell j's right end above p - t, and last j with
             # its left end below q + t: floor((p - t - lo)/w) and
             # ceil((q + t - lo)/w) - 1
-            j_lo = max(0, (rp * td - tn * d * pd) // (pd * td * step))
-            j_hi = min(n - 1, (rq * td + tn * d * qd - 1) // (qd * td * step))
+            j_lo = max(0, (rp * sd - sn * tp) // (tp * sd))
+            j_hi = min(n - 1, (rq * sd + sn * tq - 1) // (tq * sd))
             if j_lo <= j_hi:
                 ranges.append((j_lo, j_hi))
-            if rp <= (i + 1) * step * pd and rq >= i * step * qd:
+            if rp <= (i + 1) * tp and rq >= i * tq:
                 hits_self[i] = 1
         ranges.sort()
         for a, b in ranges:
@@ -242,7 +242,6 @@ def build_chain_graph(
                 starts.append(a)
                 ends.append(b)
         offsets.append(len(starts))
-    del parts  # the rows below need the images no longer
     total = sum(ends) - sum(starts) + len(starts)
     if total > MAX_EDGES:
         raise ChainGraphError(

@@ -14,11 +14,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from .chaingraph import ChainGraph, Condensation, Grid, condense
-from .systems import SystemSpec, evaluate, image_intervals, is_increasing, values_at
+from .chaingraph import ChainGraph, Condensation, Grid, cell_images, condense
+from .systems import SystemSpec, evaluate  # evaluate: unused, kept for perfbench/tracing.py to wrap
 
 
 def cantor_value(rank: int, total: int) -> Fraction:
@@ -135,63 +134,41 @@ def _descent(
     the image of cell i, so each such j must sit in i's component at the
     same value, or strictly below it.  Values are compared through their
     integer keys and named in the witness as they were given.  Each image
-    end is measured against the grid's integer ticks, so the cells it
-    meets are found by integer floor division.
+    end is measured in cell widths on integers (`Grid.offset`), so the
+    cells it meets are found by integer floor division.
     """
     n = grid.n
-    d, first, step = grid.ticks
-
-    def ceil_floor(y: Fraction) -> Tuple[int, int]:
-        # (y - lo)/w is (yn*d - first*yd)/(yd*step) for y = yn/yd
-        r, t = y.numerator * d - first * y.denominator, y.denominator * step
-        return -(-r // t), r // t
-
-    # not chaingraph.cell_images: the certificate is checked against images
-    # that the graph build did not produce
-    if is_increasing(spec):
-        if 0 <= grid.lo and grid.hi <= 1:
-            ys = values_at(spec, range(first, first + step * n + 1, step), d)
-        else:
-            # a grid that leaves the domain fails here as evaluate fails
-            ys = [evaluate(spec, x) for x in grid.points()]
-        # cell i's image is [ys[i], ys[i + 1]]; each value is measured once
-        ceils, floors = [], []
-        for y in ys:
-            c, f = ceil_floor(y)
-            ceils.append(c)
-            floors.append(f)
-        del ys
-        spans = zip(range(n), ceils, islice(floors, 1, None))
-    else:
-        images = [image_intervals(spec, *grid.cell(i)) for i in range(n)]
-        spans = (
-            (i, ceil_floor(p)[0], ceil_floor(q)[1])
-            for i, parts in enumerate(images) for p, q in parts
-        )
+    offset = grid.offset
     comp_of = cond.comp_of
     skipped = 0
-    # (i, c, f) for each part [p, q] of cell i's image, with c = ceil((p - lo)/w)
-    # and f = floor((q - lo)/w): the part lies wholly outside the grid when
-    # f < 0 or c > n, and otherwise meets the closed cells c - 1 to f
-    for i, c, f in spans:
-        if f < 0 or c > n:
-            skipped += 1
-            continue
+    # the images are recomputed, not read off the graph, so the certificate
+    # is checked against images that the build did not hand over
+    for i, parts in enumerate(cell_images(spec, grid)):
         comp, key = comp_of[i], keys[i]
-        for j in range(max(0, c - 1), min(n - 1, f) + 1):
-            if comp_of[j] == comp:
-                if keys[j] != key:
+        for p, q in parts:
+            rp, tp = offset(p)
+            rq, tq = offset(q)
+            # c = ceil((p - lo)/w) and f = floor((q - lo)/w): the part lies
+            # wholly outside the grid when f < 0 or c > n, and otherwise
+            # meets the closed cells c - 1 to f
+            c, f = -(-rp // tp), rq // tq
+            if f < 0 or c > n:
+                skipped += 1
+                continue
+            for j in range(max(0, c - 1), min(n - 1, f) + 1):
+                if comp_of[j] == comp:
+                    if keys[j] != key:
+                        return CheckResult(
+                            "descent", False,
+                            f"cell {i} steps into cell {j} of its own component "
+                            f"but changes value",
+                        ), skipped
+                elif not key > keys[j]:
                     return CheckResult(
                         "descent", False,
-                        f"cell {i} steps into cell {j} of its own component "
-                        f"but changes value",
+                        f"cell {i} steps into cell {j} without descending "
+                        f"({values[i]} vs {values[j]})",
                     ), skipped
-            elif not key > keys[j]:
-                return CheckResult(
-                    "descent", False,
-                    f"cell {i} steps into cell {j} without descending "
-                    f"({values[i]} vs {values[j]})",
-                ), skipped
     return CheckResult("descent", True), skipped
 
 

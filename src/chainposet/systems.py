@@ -459,8 +459,19 @@ def _eval_cantor(spec: CantorExample, x: Fraction) -> Fraction:
     return x
 
 
+def _check_domain(spec: SystemSpec, ps: Sequence[int], q: int) -> None:
+    """The one domain rule: each p/q, p increasing and q > 0, must lie in
+    [0, 1], or in (0, 1) for an open spec; the first point outside is named."""
+    lo, hi = (1, q - 1) if is_open(spec) else (0, q)
+    if ps and not (lo <= ps[0] and ps[-1] <= hi):
+        # the points outside are a prefix below lo and a suffix above hi
+        p = ps[0] if ps[0] < lo else ps[bisect.bisect_right(ps, hi)]
+        raise ValueError(f"{Fraction(p, q)} outside the domain")
+
+
 def values_at(spec: SystemSpec, ps: Sequence[int], q: int) -> List[Fraction]:
     """Exact values at p/q for strictly increasing p, all in the domain."""
+    _check_domain(spec, ps, q)
     if isinstance(spec, OrdinalMap):
         return _descend(spec.index, ps, q)
     if isinstance(spec, CantorExample):
@@ -482,9 +493,6 @@ def _conjugated_values_at(spec: Conjugated, ps: Sequence[int], q: int) -> List[F
     them the same way, and each pair is replaced in place by its one
     normalised Fraction.
     """
-    # p increases, so its ends decide
-    if ps and not (0 <= ps[0] and ps[-1] <= q):
-        raise ValueError("argument outside [0, 1]")
     h = spec.homeo
     den, cuts, pieces = h._backward
     lcm = math.lcm(*(d for _, _, d in pieces))
@@ -513,10 +521,7 @@ def _pair(numerator: int, denominator: int) -> Tuple[int, int]:
 def evaluate(spec: SystemSpec, x: Fraction) -> Fraction:
     """Exact value of the system at x; x must lie in the domain."""
     x = to_fraction(x)
-    p, q = x.numerator, x.denominator
-    if not (0 < p < q if is_open(spec) else 0 <= p <= q):
-        raise ValueError(f"{x} outside the domain")
-    return values_at(spec, (p,), q)[0]
+    return values_at(spec, (x.numerator,), x.denominator)[0]
 
 
 # image enclosures
@@ -567,8 +572,11 @@ def image_intervals(
     """Exact image of [lo, hi] as sorted disjoint closed intervals.
 
     Increasing systems give one interval; plateau maps give degenerate
-    point intervals, one per attained value.
+    point intervals, one per attained value.  Both ends must lie in the
+    domain, so the interval does.
     """
+    for x in (lo, hi):
+        _check_domain(spec, (x.numerator,), x.denominator)
     if is_increasing(spec):
         return ((evaluate(spec, lo), evaluate(spec, hi)),)
     if isinstance(spec, DenseBlocks):

@@ -265,7 +265,7 @@ class TestEdges:
         # slack 1 on 16384 cells asks for 2^28 edges, 4 * MAX_EDGES.  Rows
         # up to the budget alone would take about 530 MB, so the count has
         # to come before any row; the refusal then needs little more than
-        # the cell images' 4 MB (Python 3.11).
+        # the grid's n + 1 values (Python 3.11).
         spec = OrdinalMap(ZERO)
         grid = grid_for(spec, 16384)
         tracemalloc.start()
@@ -276,6 +276,30 @@ class TestEdges:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_build_memory_bound(self):
+        # the cell images stream one cell at a time, so the peak is the n + 1
+        # grid values and the rows, about 2.7 MB (Python 3.11); a list of all
+        # the images held through the build peaked at 3.8 MB
+        spec = OrdinalMap(parse_ordinal("w^2*20"))
+        grid = grid_for(spec, 1 << 14)
+        tracemalloc.start()
+        try:
+            build_chain_graph(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * 2**20
+
+    @pytest.mark.parametrize("spec", [
+        DenseBlocks(2, Variant.OPEN_INTERVAL),
+        Conjugated(DenseBlocks(2, Variant.OPEN_INTERVAL), BENT_HOMEO),
+    ])
+    def test_open_domain_plateau_on_a_closed_grid_raises(self, spec):
+        # the first cell starts at 0, outside (0, 1)
+        with pytest.raises(ValueError) as error:
+            build_chain_graph(spec, Grid(F(0), F(1), 8))
+        assert str(error.value) == "0 outside the domain"
 
     def test_dump_format(self):
         g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 2), ConstantField(F(1, 4)))

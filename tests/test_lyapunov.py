@@ -473,3 +473,15 @@ class TestIntegerDescent:
         assert str(integer.value) == str(reference.value) == "-1/4 outside the domain"
         with pytest.raises(ValueError, match="outside the domain"):
             verify(synthesize(cond), g)
+
+    @pytest.mark.parametrize("spec", [
+        DenseBlocks(2, Variant.OPEN_INTERVAL),
+        Conjugated(DenseBlocks(2, Variant.OPEN_INTERVAL), DESCENT_HOMEOS[1]),
+    ])
+    def test_open_domain_plateau_on_a_closed_grid_raises(self, spec):
+        # the first cell starts at 0, outside (0, 1)
+        grid = Grid(F(0), F(1), 8)
+        g = ChainGraph(spec, grid, ConstantField(F(1, 4)), tuple((i,) for i in range(8)))
+        with pytest.raises(ValueError) as error:
+            verify(synthesize(condense(g)), g)
+        assert str(error.value) == "0 outside the domain"

@@ -13,7 +13,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chainposet.chaingraph import Grid, cell_images, grid_for
+from chainposet.chaingraph import (
+    ChainGraph,
+    ConstantField,
+    Grid,
+    cell_images,
+    condense,
+    grid_for,
+)
+from chainposet.lyapunov import synthesize, verify
 from chainposet.ordinal import (
     OMEGA,
     ONE,
@@ -396,10 +404,15 @@ class TestConjugated:
         assert not is_increasing(Conjugated(DenseBlocks(1), SAMPLE_HOMEO))
 
     @pytest.mark.parametrize("inner", [OrdinalMap(ONE), CantorExample(2), DenseBlocks(1)])
-    @pytest.mark.parametrize("ps, q", [([-1, 0, 1], 2), ([0, 1, 3], 2), ([5], 4)])
-    def test_grid_values_outside_the_unit_interval_raise(self, inner, ps, q):
-        with pytest.raises(ValueError, match=r"^argument outside \[0, 1\]$"):
+    @pytest.mark.parametrize("ps, q, message", [
+        pytest.param([-1, 0, 1], 2, "-1/2 outside the domain", id="ps0-2"),
+        pytest.param([0, 1, 3], 2, "3/2 outside the domain", id="ps1-2"),
+        pytest.param([5], 4, "5/4 outside the domain", id="ps2-4"),
+    ])
+    def test_grid_values_outside_the_unit_interval_raise(self, inner, ps, q, message):
+        with pytest.raises(ValueError) as error:
             systems.values_at(Conjugated(inner, SAMPLE_HOMEO), ps, q)
+        assert str(error.value) == message
 
     def test_grid_values_memory(self):
         # the certify benchmark's seed-0 system on its 4,097 grid points: the
@@ -440,6 +453,19 @@ class TestImageIntervals:
             (F(1, 4), F(1, 4)),
             (F(3, 8), F(3, 8)),
         )
+
+    @pytest.mark.parametrize("spec", [
+        DenseBlocks(2, Variant.OPEN_INTERVAL),
+        Conjugated(DenseBlocks(2, Variant.OPEN_INTERVAL), SAMPLE_HOMEO),
+    ])
+    @pytest.mark.parametrize("lo, hi, message", [
+        (F(0), F(1, 4), "0 outside the domain"),
+        (F(3, 4), F(1), "1 outside the domain"),
+    ])
+    def test_open_domain_ends_are_refused(self, spec, lo, hi, message):
+        with pytest.raises(ValueError) as error:
+            image_intervals(spec, lo, hi)
+        assert str(error.value) == message
 
     def test_conjugated_image_maps_through(self):
         g = Conjugated(DenseBlocks(1, Variant.WITH_MAX), SAMPLE_HOMEO)
@@ -712,9 +738,19 @@ def grids_in_unit(draw) -> Grid:
     return Grid(lo, hi, n)
 
 
+increasing_specs = st.one_of(
+    small_ordinal_maps(),
+    st.integers(1, 4).map(CantorExample),
+    st.builds(
+        Conjugated, st.one_of(small_ordinal_maps(), st.integers(1, 4).map(CantorExample)),
+        pl_homeos(),
+    ),
+)
+
+
 def grid_values(spec, grid):
     """The map at every grid point, read off the cell images."""
-    images = cell_images(spec, grid)
+    images = list(cell_images(spec, grid))
     return [a for ((a, _),) in images] + [images[-1][0][1]]
 
 
@@ -794,20 +830,24 @@ class TestAgainstFractionReference:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        small_ordinal_maps(),
+        increasing_specs,
         st.fractions(min_value=-1, max_value=1, max_denominator=50),
         st.fractions(min_value=0, max_value=2, max_denominator=50),
         st.integers(1, 64),
     )
     def test_grid_outside_the_unit_interval_raises(self, spec, lo, hi, n):
-        # the error that evaluating the points one by one raises first
+        # the error that evaluating the points one by one raises first, from
+        # the build's images and from verify's
         assume(lo < hi and not 0 <= lo < hi <= 1)
         grid = Grid(lo, hi, n)
         with pytest.raises(ValueError) as one_by_one:
             [evaluate(spec, x) for x in grid.points()]
         with pytest.raises(ValueError) as at_once:
-            cell_images(spec, grid)
-        assert str(at_once.value) == str(one_by_one.value)
+            list(cell_images(spec, grid))
+        g = ChainGraph(spec, grid, ConstantField(grid.width), tuple((i,) for i in range(n)))
+        with pytest.raises(ValueError) as verified:
+            verify(synthesize(condense(g)), g)
+        assert str(at_once.value) == str(verified.value) == str(one_by_one.value)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(indices_up_to_w_w2(), tailed_indices), cutoffs)
