@@ -70,8 +70,6 @@ from .lyapunov import (
     CertificationReport,
     CheckResult,
     LyapunovAssignment,
-    cantor_value,
-    in_middle_third_set,
     synthesize,
     verify,
 )

@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import islice, tee
 from typing import FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .systems import (
@@ -93,10 +93,6 @@ class Grid:
     def midpoint(self, i: int) -> Fraction:
         a, b = self.cell(i)
         return (a + b) / 2
-
-    def points(self) -> List[Fraction]:
-        w = self.width
-        return [self.lo + i * w for i in range(self.n + 1)]
 
 
 def grid_for(spec: SystemSpec, n: int) -> Grid:
@@ -185,15 +181,24 @@ class ChainGraph:
         return sum(len(row) for row in self.adjacency)
 
 
-def cell_images(spec: SystemSpec, grid: Grid) -> Iterator[Tuple[Tuple[Fraction, Fraction], ...]]:
-    """Exact image of each closed cell in turn, as sorted disjoint intervals."""
+def cell_images(spec: SystemSpec, grid: Grid) -> Iterator[tuple]:
+    """Exact image of each closed cell in turn, as sorted disjoint parts
+    (p, q, (rp, tp), (rq, tq)): the ends p <= q, each also measured in cell
+    widths by `Grid.offset`, (p - lo)/w = rp/tp and (q - lo)/w = rq/tq."""
+    offset = grid.offset
     if is_increasing(spec):
         # every point in one call, as numerators over one denominator; cell
-        # i's image is the one interval between values i and i + 1
+        # i's image is the one interval between values i and i + 1, and each
+        # value is measured once for both cells it bounds
         d, first, step = grid.ticks
         ys = values_at(spec, range(first, first + step * grid.n + 1, step), d)
-        return zip(zip(ys, islice(ys, 1, None)))
-    return (image_intervals(spec, *grid.cell(i)) for i in range(grid.n))
+        lefts, rights = tee(map(offset, ys))
+        next(rights)
+        return zip(zip(ys, islice(ys, 1, None), lefts, rights))
+    return (
+        tuple((p, q, offset(p), offset(q)) for p, q in image_intervals(spec, *grid.cell(i)))
+        for i in range(grid.n)
+    )
 
 
 def build_chain_graph(
@@ -212,18 +217,15 @@ def build_chain_graph(
         eps = auto_field(grid)
     n = grid.n
     d, _, step = grid.ticks
-    offset = grid.offset
     # merged target ranges [starts[k], ends[k]] of cell i for k in
     # offsets[i]:offsets[i+1], and whether cell i's image meets cell i
     starts, ends, offsets = array("i"), array("i"), array("q", [0])
     hits_self = bytearray(n)
     for i, parts in enumerate(cell_images(spec, grid)):
         ranges: List[Tuple[int, int]] = []
-        for p, q in parts:
+        for p, q, (rp, tp), (rq, tq) in parts:
             t = eps.sup_over(p, q)
             # (p - lo)/w = rp/tp, (q - lo)/w = rq/tq and t/w = sn/sd
-            rp, tp = offset(p)
-            rq, tq = offset(q)
             sn, sd = t.numerator * d, t.denominator * step
             # first j with cell j's right end above p - t, and last j with
             # its left end below q + t: floor((p - t - lo)/w) and

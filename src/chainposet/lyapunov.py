@@ -20,21 +20,9 @@ from .chaingraph import ChainGraph, Condensation, Grid, cell_images, condense
 from .systems import SystemSpec, evaluate  # evaluate: unused, kept for perfbench/tracing.py to wrap
 
 
-def cantor_value(rank: int, total: int) -> Fraction:
-    """rank-th of `total` increasing values in the middle-third set.
-
-    The rank's binary digits, doubled, become base-3 digits, so distinct
-    ranks get distinct values and order is preserved.
-    """
-    if total < 1:
-        raise ValueError("total must be positive")
-    if not 0 <= rank < total:
-        raise ValueError("rank out of range")
-    return Fraction(_doubled_digits(rank), 3 ** (total - 1).bit_length())
-
-
 def _doubled_digits(rank: int) -> int:
-    # the numerator over 3^bits: the binary digits, each 1 doubled, read in base 3
+    # the numerator over 3^bits: the binary digits, each 1 doubled, read in
+    # base 3, so distinct ranks get distinct values and order is kept
     return int(f"{rank:b}".replace("1", "2"), 3)
 
 
@@ -52,17 +40,6 @@ def _only_digits_0_2(p: int) -> bool:
         if chunk not in _DIGITS_0_2:
             return False
     return True
-
-
-def in_middle_third_set(x: Fraction) -> bool:
-    """Membership test for finite base-3 expansions with digits 0 and 2."""
-    if not 0 <= x < 1:
-        return False
-    p, q = x.numerator, x.denominator
-    while q % 3 == 0:
-        q //= 3
-    # x = p/3^k, so the expansion's digits are the k base-3 digits of p
-    return q == 1 and _only_digits_0_2(p)
 
 
 @dataclass(frozen=True)
@@ -134,20 +111,17 @@ def _descent(
     the image of cell i, so each such j must sit in i's component at the
     same value, or strictly below it.  Values are compared through their
     integer keys and named in the witness as they were given.  Each image
-    end is measured in cell widths on integers (`Grid.offset`), so the
-    cells it meets are found by integer floor division.
+    end comes measured in cell widths on integers, so the cells it meets
+    are found by integer floor division.
     """
     n = grid.n
-    offset = grid.offset
     comp_of = cond.comp_of
     skipped = 0
     # the images are recomputed, not read off the graph, so the certificate
     # is checked against images that the build did not hand over
     for i, parts in enumerate(cell_images(spec, grid)):
         comp, key = comp_of[i], keys[i]
-        for p, q in parts:
-            rp, tp = offset(p)
-            rq, tq = offset(q)
+        for _, _, (rp, tp), (rq, tq) in parts:
             # c = ceil((p - lo)/w) and f = floor((q - lo)/w): the part lies
             # wholly outside the grid when f < 0 or c > n, and otherwise
             # meets the closed cells c - 1 to f

@@ -190,21 +190,23 @@ def is_increasing(spec: SystemSpec) -> bool:
 # transfinite family
 
 
-def _descend(index: Ordinal, ps: Sequence[int], q: int, make=Fraction) -> list:
+def _descend(index: Ordinal, cur: List[int], q: int, make=Fraction) -> list:
     """Values of the index map at p/q for strictly increasing p in 0..q,
-    each as make(numerator, denominator) with a positive denominator.
+    each as make(numerator, denominator) with a positive denominator, in
+    the list `cur` of the p, which the caller builds for this call.
 
     One iterative descent on integers over a fixed q: a group of points
     that takes the same successor halvings, or falls in the same limit
     block, shares the current index and (s, c), with the value at each of
     its points so far (s + inner)/c, where inner is the current index's map
     at p/q.  The ordinal work is done once per group, and only the
-    numerators p are rewritten.  The block index (unbounded near 1) never
-    turns into stack depth, and each returned value is made once.
+    numerators p are rewritten, in place, until each is replaced by its
+    value.  A step rescales a point by the same map as its value, so a
+    rewritten p still names the original point (s*q + p)/(c*q).  The block
+    index (unbounded near 1) never turns into stack depth, and each value
+    is made once.
     """
     start = index
-    cur = list(ps)
-    out = [None] * len(cur)
     # groups (index, first, end, s, c, steps) over positions first..end-1;
     # a group's subgroups are stacked right to left, so groups are taken left
     # to right and the first one out of budget holds the leftmost point that is
@@ -214,21 +216,22 @@ def _descend(index: Ordinal, ps: Sequence[int], q: int, make=Fraction) -> list:
         if steps >= MAX_DESCENT_STEPS:
             raise DescentBudgetError(
                 f"evaluating the index-{format_ordinal(start)} map at "
-                f"{Fraction(ps[lo], q)} took more than {MAX_DESCENT_STEPS} descent steps"
+                f"{Fraction(s * q + cur[lo], c * q)} took more than "
+                f"{MAX_DESCENT_STEPS} descent steps"
             )
         if cur[lo] == 0:
-            out[lo] = make(s, c)
+            cur[lo] = make(s, c)
             lo += 1
         if lo < hi and cur[hi - 1] == q:
             hi -= 1
-            out[hi] = make(s + 1, c)
+            cur[hi] = make(s + 1, c)
         if lo == hi:
             continue
         terms = index.terms
         if not terms:
             # index 0: x
             for k in range(lo, hi):
-                out[k] = make(s * q + cur[k], c * q)
+                cur[k] = make(s * q + cur[k], c * q)
             continue
         exp, m = terms[-1]
         if not exp.terms:
@@ -236,13 +239,13 @@ def _descend(index: Ordinal, ps: Sequence[int], q: int, make=Fraction) -> list:
             if len(terms) == 1 and m == 1:
                 # index 1: x^2
                 for k in range(lo, hi):
-                    out[k] = make(s * qq + cur[k] ** 2, c * qq)
+                    cur[k] = make(s * qq + cur[k] ** 2, c * qq)
                 continue
             # above 1/2, inner = x^2 - x/2 + 1/2
             mid = bisect.bisect_right(cur, q >> 1, lo, hi)
             for k in range(mid, hi):
                 p = cur[k]
-                out[k] = make(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
+                cur[k] = make(2 * (s * qq + p * p) - p * q + qq, 2 * qq * c)
             # runs of t successor halvings at once, each one step: a run ends
             # where x passes 1/2, or where the finite tail m runs out (at 1
             # when the whole index is m, since index 1 is the square); below
@@ -274,7 +277,7 @@ def _descend(index: Ordinal, ps: Sequence[int], q: int, make=Fraction) -> list:
                     s * block + n * (n + 2), c * block, steps + 1,
                 ))
                 k = first
-    return out
+    return cur
 
 
 def _block_index(head: Ordinal, tail_exp: Ordinal, n: int) -> Ordinal:
@@ -473,7 +476,7 @@ def values_at(spec: SystemSpec, ps: Sequence[int], q: int) -> List[Fraction]:
     """Exact values at p/q for strictly increasing p, all in the domain."""
     _check_domain(spec, ps, q)
     if isinstance(spec, OrdinalMap):
-        return _descend(spec.index, ps, q)
+        return _descend(spec.index, list(ps), q)
     if isinstance(spec, CantorExample):
         return [_eval_cantor(spec, Fraction(p, q)) for p in ps]
     if isinstance(spec, DenseBlocks):
@@ -489,7 +492,8 @@ def _conjugated_values_at(spec: Conjugated, ps: Sequence[int], q: int) -> List[F
     h^-1 takes p/q on its piece (a, b, d) to (a*p + b*q)/(d*q), so over
     L*q, L the lcm of the pieces' d, every pulled-back point is an integer
     numerator, and they stay sorted since h^-1 increases.  The inner map's
-    values come back as (numerator, denominator) pairs, h is applied to
+    values come back as (numerator, denominator) pairs (an ordinal inner
+    map writes them over the pulled-back list itself), h is applied to
     them the same way, and each pair is replaced in place by its one
     normalised Fraction.
     """

@@ -129,7 +129,7 @@ def reference_descent(
     # not chaingraph.cell_images: the certificate is checked against images
     # that the graph build did not produce
     if is_increasing(spec):
-        ys = [evaluate(spec, x) for x in grid.points()]
+        ys = [evaluate(spec, lo + k * w) for k in range(n + 1)]
         images = [((ys[i], ys[i + 1]),) for i in range(n)]
     else:
         images = [image_intervals(spec, *grid.cell(i)) for i in range(n)]

@@ -19,6 +19,7 @@ from chainposet.chaingraph import (
     PiecewiseField,
     auto_field,
     build_chain_graph,
+    cell_images,
     chain_components,
     condense,
     dump_adjacency,
@@ -35,6 +36,7 @@ from chainposet.systems import (
     PLHomeo,
     Variant,
     evaluate,
+    image_intervals,
     is_open,
 )
 
@@ -420,6 +422,22 @@ class TestAgainstReference:
         adjacency = build_chain_graph(spec, grid, eps).adjacency
         assert adjacency[i] == row
         assert adjacency == reference_build(spec, grid, eps)
+
+
+class TestCellImages:
+    @given(build_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_parts_carry_their_offsets(self, case):
+        # plateau, increasing, conjugated and open-domain specs alike: each
+        # part is an image interval with both ends measured in cell widths
+        spec, grid, _ = case
+        images = list(cell_images(spec, grid))
+        assert len(images) == grid.n
+        for i, parts in enumerate(images):
+            assert [(p, q) for p, q, _, _ in parts] == list(image_intervals(spec, *grid.cell(i)))
+            for p, q, rp, rq in parts:
+                assert rp == grid.offset(p) and rq == grid.offset(q)
+                assert F(*rp) == (p - grid.lo) / grid.width
 
 
 class TestEnclosureSoundness:

@@ -20,9 +20,8 @@ from chainposet.lyapunov import (
     CheckResult,
     LyapunovAssignment,
     _descent,
+    _doubled_digits,
     _value_set,
-    cantor_value,
-    in_middle_third_set,
     synthesize,
     verify,
 )
@@ -56,23 +55,20 @@ CLOSED_SPECS = [
 ]
 
 
+def rank_value(rank, total):
+    """The value synthesize gives the rank-th of `total` ranks."""
+    return F(_doubled_digits(rank), 3 ** (total - 1).bit_length())
+
+
 class TestCantorValue:
     def test_frozen_values(self):
-        assert cantor_value(0, 2) == F(0)
-        assert cantor_value(1, 2) == F(2, 3)
-        assert cantor_value(2, 4) == F(2, 3)
-        assert cantor_value(3, 4) == F(8, 9)
-        assert cantor_value(1, 4) == F(2, 9)
-        assert cantor_value(0, 1) == F(0)
-        assert cantor_value(5, 8) == F(20, 27)
-
-    def test_bounds_checks(self):
-        with pytest.raises(ValueError):
-            cantor_value(2, 2)
-        with pytest.raises(ValueError):
-            cantor_value(-1, 2)
-        with pytest.raises(ValueError):
-            cantor_value(0, 0)
+        assert rank_value(0, 2) == F(0)
+        assert rank_value(1, 2) == F(2, 3)
+        assert rank_value(2, 4) == F(2, 3)
+        assert rank_value(3, 4) == F(8, 9)
+        assert rank_value(1, 4) == F(2, 9)
+        assert rank_value(0, 1) == F(0)
+        assert rank_value(5, 8) == F(20, 27)
 
     @given(st.integers(1, 2**24).flatmap(
         lambda total: st.tuples(st.integers(0, total - 1), st.just(total))
@@ -84,34 +80,24 @@ class TestCantorValue:
     @example((2**23, 2**23 + 1))
     def test_matches_the_fraction_sum(self, case):
         rank, total = case
-        assert cantor_value(rank, total) == reference_cantor_value(rank, total)
+        assert rank_value(rank, total) == reference_cantor_value(rank, total)
 
     @given(st.integers(1, 300))
     def test_strictly_increasing_in_rank(self, total):
-        vals = [cantor_value(r, total) for r in range(total)]
+        vals = [rank_value(r, total) for r in range(total)]
         assert vals == sorted(set(vals))
         assert all(0 <= v < 1 for v in vals)
 
     @given(st.integers(1, 300))
     def test_values_live_in_the_middle_third_set(self, total):
         for r in range(total):
-            assert in_middle_third_set(cantor_value(r, total))
-
-
-class TestMembership:
-    def test_members(self):
-        for x in [F(0), F(2, 3), F(2, 9), F(8, 9), F(20, 27), F(2, 3) + F(2, 81)]:
-            assert in_middle_third_set(x)
-
-    def test_non_members(self):
-        for x in [F(1, 2), F(1, 3), F(1, 9), F(3, 4), F(5, 9), F(-1, 3), F(7, 6), F(1)]:
-            assert not in_middle_third_set(x)
+            assert reference_in_middle_third_set(rank_value(r, total))
 
 
 # values in and out of the middle-third set: synthesized ones, ones a digit
 # or a denominator away from them, and ones outside [0, 1)
 cantor_values = st.integers(1, 2**20).flatmap(
-    lambda total: st.integers(0, total - 1).map(lambda r: cantor_value(r, total))
+    lambda total: st.integers(0, total - 1).map(lambda r: rank_value(r, total))
 )
 set_candidates = st.one_of(
     cantor_values,
@@ -124,6 +110,18 @@ set_candidates = st.one_of(
     st.fractions(min_value=-3, max_value=0, max_denominator=81),
     st.fractions(max_denominator=1000),
 )
+
+
+MEMBERS = [F(0), F(2, 3), F(2, 9), F(8, 9), F(20, 27), F(2, 3) + F(2, 81)]
+NON_MEMBERS = [F(1, 2), F(1, 3), F(1, 9), F(3, 4), F(5, 9), F(-1, 3), F(7, 6), F(1)]
+
+
+def membership_examples(test):
+    """The members alone, and each non-member after them."""
+    test = example(MEMBERS)(test)
+    for x in NON_MEMBERS:
+        test = example(MEMBERS + [x])(test)
+    return test
 
 
 class TestValueSet:
@@ -144,13 +142,12 @@ class TestValueSet:
     @example([F(0), F(2, 9), F(1, 18)])
     @example([F(8, 9), F(20, 9)])
     @example([F(2, 3), F(-2, 3)])
+    @membership_examples
     def test_keys_match_the_values(self, values):
         values = tuple(values)
         keys = keys_of(values)
         den = math.lcm(*{v.denominator for v in values})
         assert _value_set(values, keys, den) == reference_value_set(values)
-        for v in values:
-            assert in_middle_third_set(v) == reference_in_middle_third_set(v)
 
 
 class TestSynthesize:
@@ -170,7 +167,9 @@ class TestSynthesize:
         g = build_chain_graph(OrdinalMap(ONE), Grid(F(0), F(1), 32), ConstantField(F(1, 16)))
         assignment = synthesize(condense(g))
         m = len(assignment.component_values)
-        assert sorted(assignment.component_values) == [cantor_value(r, m) for r in range(m)]
+        assert sorted(assignment.component_values) == [
+            reference_cantor_value(r, m) for r in range(m)
+        ]
 
     def test_constant_on_components(self):
         g = build_chain_graph(OrdinalMap(ZERO), Grid(F(0), F(1), 16), ConstantField(F(1, 16)))
