@@ -281,9 +281,6 @@ def _assemble(raw: _Raw) -> AnalysisConfig:
     if got is not None and _integer(*got) < 1:
         raise ConfigError("samples must be positive", got[1])
 
-    for key, (_, line) in raw.items():
-        raise ConfigError(f"key {key!r} does not apply here", line)
-
     try:
         specs = tuple(build(d) for d in depths or (depth,) * len(resolutions))
     except ValueError as e:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import total_ordering
 from typing import Optional, Tuple
 
 
@@ -19,6 +20,7 @@ class OrdinalKind(Enum):
     LIMIT = "limit"
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Ordinal:
     """Cantor normal form: w^e1*c1 + ... + w^ek*ck with e1 > e2 > ... > ek."""
@@ -64,15 +66,6 @@ class Ordinal:
 
     def __lt__(self, other: "Ordinal") -> bool:
         return compare(self, other) < 0
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return compare(self, other) >= 0
 
 
 ZERO = Ordinal()

@@ -373,10 +373,7 @@ def _middle_half(u: int, v: int) -> Tuple[int, int]:
 @lru_cache(maxsize=None, typed=True)
 def dense_blocks(variant: Variant, depth: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Plateau blocks (lo, hi) at the given refinement depth, sorted and disjoint."""
-    if not isinstance(depth, int):
-        raise TypeError(f"depth must be an int, got {depth!r}")
-    if depth < 0 or depth > MAX_FAMILY_DEPTH:
-        raise ValueError(f"depth must be in 0..{MAX_FAMILY_DEPTH}")
+    DenseBlocks(depth, variant)  # the depth rule
     # block ends as integer numerators over `one`; the ends of level k are
     # multiples of 4^(depth - k), so every middle half is exact
     one = 1 << (2 * depth + 3)
@@ -408,33 +405,13 @@ def dense_blocks(variant: Variant, depth: int) -> Tuple[Tuple[Fraction, Fraction
     return tuple(blocks)
 
 
-def _step_value(x: Fraction) -> Fraction:
-    # plateau floor for open-interval points off the blocks:
-    # x in [1/(m+1), 1/m) maps to 1/(m+2)
-    m = math.ceil(1 / x) - 1
-    return Fraction(1, m + 2)
-
-
-def _eval_dense(spec: DenseBlocks, x: Fraction) -> Fraction:
-    blocks = dense_blocks(spec.variant, spec.depth)
-    k = bisect.bisect_right(blocks, x, key=_LO) - 1
-    if k >= 0 and x <= blocks[k][1]:
-        return blocks[k][0]
-    if spec.variant is Variant.OPEN_INTERVAL:
-        return _step_value(x)
-    return Fraction(0)
-
-
 # middle-third dip family
 
 
 @lru_cache(maxsize=None, typed=True)
 def cantor_gaps(depth: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Removed middle thirds through the given level, sorted left to right."""
-    if not isinstance(depth, int):
-        raise TypeError(f"depth must be an int, got {depth!r}")
-    if depth < 1 or depth > MAX_FAMILY_DEPTH:
-        raise ValueError(f"depth must be in 1..{MAX_FAMILY_DEPTH}")
+    CantorExample(depth)  # the depth rule
     gaps = []
 
     def visit(a: Fraction, b: Fraction, level: int) -> None:
@@ -480,7 +457,9 @@ def values_at(spec: SystemSpec, ps: Sequence[int], q: int) -> List[Fraction]:
     if isinstance(spec, CantorExample):
         return [_eval_cantor(spec, Fraction(p, q)) for p in ps]
     if isinstance(spec, DenseBlocks):
-        return [_eval_dense(spec, Fraction(p, q)) for p in ps]
+        # a point's value is the one value of its one-point image
+        points = (Fraction(p, q) for p in ps)
+        return [_dense_values_on(spec, x, x)[0] for x in points]
     if isinstance(spec, Conjugated):
         return _conjugated_values_at(spec, ps, q)
     raise TypeError(f"unknown system spec {spec!r}")

@@ -6,13 +6,22 @@ oracles scan the order pairs, so they hold for any relation, reversed
 pairs included, and check the package's mask queries.
 """
 
+import bisect
 import math
 from fractions import Fraction
 from typing import List, Tuple
 
 from chainposet.chaingraph import ChainGraph, ComponentPoset, Condensation, Grid
 from chainposet.lyapunov import CheckResult
-from chainposet.systems import SystemSpec, evaluate, image_intervals, is_increasing
+from chainposet.systems import (
+    DenseBlocks,
+    SystemSpec,
+    Variant,
+    dense_blocks,
+    evaluate,
+    image_intervals,
+    is_increasing,
+)
 
 
 def reference_cantor_value(rank: int, total: int) -> Fraction:
@@ -23,6 +32,27 @@ def reference_cantor_value(rank: int, total: int) -> Fraction:
         b = (rank >> (bits - 1 - k)) & 1
         value += Fraction(2 * b, 3 ** (k + 1))
     return value
+
+
+# The plateau map's point evaluator that the one-point image in values_at
+# replaced, verbatim.
+def _step_value(x: Fraction) -> Fraction:
+    # plateau floor for open-interval points off the blocks:
+    # x in [1/(m+1), 1/m) maps to 1/(m+2)
+    m = math.ceil(1 / x) - 1
+    return Fraction(1, m + 2)
+
+
+def reference_dense_value(spec: DenseBlocks, x: Fraction) -> Fraction:
+    """The plateau map at x: the left end of the block holding x, else the
+    floor, 0 or the step value."""
+    blocks = dense_blocks(spec.variant, spec.depth)
+    k = bisect.bisect_right(blocks, x, key=lambda block: block[0]) - 1
+    if k >= 0 and x <= blocks[k][1]:
+        return blocks[k][0]
+    if spec.variant is Variant.OPEN_INTERVAL:
+        return _step_value(x)
+    return Fraction(0)
 
 
 def masks(m, pairs):

@@ -5,6 +5,7 @@ against brute-force breadth-first closures, which are slow but obviously
 correct on small graphs.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -38,6 +39,7 @@ from chainposet.systems import (
     evaluate,
     image_intervals,
     is_open,
+    predicted_representatives,
 )
 
 from oracles import is_edge_subset, reference_build
@@ -65,6 +67,8 @@ FAMILY_SPECS = [
 ]
 BENT_HOMEO = PLHomeo([(0, 0), (F(2, 7), F(1, 2)), (F(5, 8), F(3, 5)), (1, 1)])
 ENCLOSURE_SPECS = FAMILY_SPECS + [Conjugated(s, BENT_HOMEO) for s in FAMILY_SPECS]
+W_W = OrdinalMap(parse_ordinal("w^w"))
+RECURRENCE_SPECS = ENCLOSURE_SPECS + [W_W, Conjugated(W_W, BENT_HOMEO)]
 
 
 def bfs_reachable(adj, start):
@@ -471,6 +475,27 @@ class TestEnclosureSoundness:
             y = evaluate(spec, x)
             if grid.lo <= y <= grid.hi:
                 assert cell_of(grid, y) in g.adjacency[i], (i, x, y)
+
+    @given(
+        st.sampled_from(RECURRENCE_SPECS),
+        st.integers(1, 256),
+        st.sampled_from([F(1, 64), F(2)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_points_lie_in_recurrent_cells(self, spec, n, slack):
+        # a step that stays inside its cell is an edge only when the image
+        # meets that cell, yet every chain-recurrent point the model predicts
+        # still lies in a recurrent cell: each closed cell that holds it,
+        # both neighbours on a grid point
+        grid = grid_for(spec, n)
+        g = build_chain_graph(spec, grid, ConstantField(slack * grid.width))
+        recurrent = set(recurrent_cells(condense(g)))
+        for x in predicted_representatives(spec, grid.width):
+            if not grid.lo <= x <= grid.hi:
+                continue
+            k = (x - grid.lo) / grid.width
+            for i in {math.ceil(k) - 1, math.floor(k)} & set(range(n)):
+                assert i in recurrent, (i, x)
 
 
 class TestComponents:

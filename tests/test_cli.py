@@ -19,6 +19,8 @@ from chainposet.cli import (
     run_full,
 )
 from chainposet.config import (
+    _KEYS,
+    INNER_KINDS,
     AnalysisConfig,
     ConfigError,
     load_config,
@@ -94,6 +96,22 @@ homeo = [(0, 0), (1/3, 13/48), (2/3, 35/48), (1, 1)]
 resolutions = [512]
 tasks = [components, lyapunov, conjugacy]
 """
+
+
+# a value each config key accepts
+KEY_SAMPLES = {
+    "system": "ordinal",
+    "lambda": "2",
+    "depth": "1",
+    "variant": "no_max",
+    "inner": "ordinal",
+    "homeo": "[(0, 0), (1/3, 1/2), (1, 1)]",
+    "resolutions": "[64, 128]",
+    "depths": "[1, 2]",
+    "eps": "1/32",
+    "tasks": "[components, refine]",
+    "samples": "3",
+}
 
 
 class TestConfigParse:
@@ -194,6 +212,60 @@ class TestConfigParse:
     def test_rejected_configs(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("system = ordinal\nlambda = 2\ninner = cantor\nresolutions = 64\n", 3,
+             "'inner' only applies to system = conjugated"),
+            ("system = cantor\ndepth = 1\nlambda = 2\nresolutions = 64\n", 3,
+             "'lambda' only applies to ordinal systems"),
+            ("system = conjugated\ninner = ordinal\nlambda = 2\ndepth = 3\n", 4,
+             "'depth' only applies to block families"),
+            ("system = conjugated\ninner = cantor\nvariant = no_max\n", 3,
+             "'variant' only applies to dense_blocks"),
+            ("system = ordinal\nlambda = 2\nresolutions = [64, 128]\ndepths = [1, 2]\n", 4,
+             "'depths' only applies to block families"),
+        ],
+    )
+    def test_misplaced_keys_name_themselves(self, text, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize(
+        "kind,inner",
+        [(k, None) for k in INNER_KINDS] + [("conjugated", k) for k in INNER_KINDS],
+    )
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_every_key_parses_or_names_itself(self, kind, inner, key):
+        # a valid config for the kind, with the key set: a key the kind
+        # reads parses, and any other is refused at its own line by name
+        lines = {"system": kind}
+        if inner:
+            lines.update(inner=inner, homeo="[(0, 0), (1/3, 1/2), (1, 1)]")
+        effective = inner or kind
+        if effective == "ordinal":
+            lines["lambda"] = "2"
+        elif key != "depths":
+            lines["depth"] = "1"
+        lines["resolutions"] = "[64, 128]"
+        lines.setdefault(key, KEY_SAMPLES[key])
+        text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+        applies = {
+            "inner": bool(inner),
+            "lambda": effective == "ordinal",
+            "depth": effective != "ordinal",
+            "depths": effective != "ordinal",
+            "variant": effective == "dense_blocks",
+        }.get(key, True)
+        if applies:
+            parse_config(text)
+        else:
+            line = list(lines).index(key) + 1
+            with pytest.raises(ConfigError, match=f"^line {line}: '{key}' only applies to "):
+                parse_config(text)
 
     def test_homeo_must_fix_endpoints(self):
         with pytest.raises(ConfigError) as err:

@@ -102,6 +102,9 @@ class TestCompare:
     def test_antisymmetric(self, a, b):
         assert compare(a, b) == -compare(b, a)
         assert (compare(a, b) == 0) == (a == b)
+        # the operators order through compare
+        c = compare(a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
 
     @given(general_ordinals(), general_ordinals(), general_ordinals())
     def test_transitive(self, a, b, c):

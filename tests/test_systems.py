@@ -11,7 +11,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from chainposet.chaingraph import (
     ChainGraph,
@@ -54,6 +54,8 @@ from chainposet.systems import (
     predicted_label,
     predicted_representatives,
 )
+
+from oracles import reference_dense_value
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
@@ -241,6 +243,8 @@ class TestCantorExample:
         assert len(cantor_gaps(2)) == 3
         with pytest.raises(TypeError, match="got 2.0"):
             cantor_gaps(2.0)
+        with pytest.raises(ValueError, match=r"^depth must be in 1\.\.20$"):
+            cantor_gaps(21)
 
     def test_identity_off_the_gaps(self):
         spec = CantorExample(2)
@@ -280,6 +284,8 @@ class TestDenseBlocks:
         assert len(dense_blocks(Variant.WITH_MAX, 2)) == 5
         with pytest.raises(TypeError, match="got 2.0"):
             dense_blocks(Variant.WITH_MAX, 2.0)
+        with pytest.raises(ValueError, match=r"^depth must be in 0\.\.20$"):
+            dense_blocks(Variant.NO_MAX, -1)
 
     def test_with_max_depth_one(self):
         assert list(dense_blocks(Variant.WITH_MAX, 1)) == [
@@ -714,6 +720,22 @@ def pl_homeos(draw):
     return PLHomeo([(0, 0), *zip(xs, ys), (1, 1)])
 
 
+@st.composite
+def plateau_grid_points(draw):
+    """A plateau map and sorted points of a grid of step 1/q that holds every
+    block end and every 1/k for k <= m: those points, their neighbours on
+    the grid, and more grid points drawn at random, all in the domain."""
+    inner = DenseBlocks(draw(st.integers(0, 6)), draw(st.sampled_from(list(Variant))))
+    m = draw(st.integers(1, 16))
+    q = (8 << 2 * inner.depth) * math.lcm(*range(1, m + 1))
+    marks = {int(x * q) for blk in dense_blocks(inner.variant, inner.depth) for x in blk}
+    marks |= {q // k for k in range(1, m + 1)}
+    ps = {p + t for p in marks for t in (-1, 0, 1)}
+    ps |= set(draw(st.lists(st.integers(0, q), max_size=20)))
+    lo, hi = (1, q - 1) if is_open(inner) else (0, q)
+    return inner, [F(p, q) for p in sorted(ps) if lo <= p <= hi]
+
+
 # the certify benchmark's seed-0 homeomorphism, and one whose breakpoint
 # denominators are coprime, so that each table's one denominator is a
 # true lcm (35 forward, 99 backward)
@@ -801,7 +823,15 @@ class TestAgainstFractionReference:
         assert h.invert(x) == reference_pl_apply(back, x)
         assert h.invert(y) == x
 
-    @settings(max_examples=200, deadline=None)
+    # no shrink phase: each shrink step reruns the Fraction references on up
+    # to 513 grid points, and a failing conjugated draw took five minutes to
+    # report; the unshrunk draw still names the case, and every generated
+    # draw is still checked
+    @settings(
+        max_examples=200,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+    )
     @given(
         st.one_of(indices_up_to_w_w2(), tailed_indices),
         st.integers(1, 6),
@@ -839,6 +869,23 @@ class TestAgainstFractionReference:
             for p in ps
         ]
         assert systems.values_at(Conjugated(inner, h), ps, q) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(plateau_grid_points(), st.one_of(st.none(), pl_homeos()))
+    def test_plateau_values_match(self, case, h):
+        # the one-point image against the point evaluator it replaced, bare
+        # or conjugated by h; the images under h share one denominator too
+        inner, xs = case
+        want = [reference_dense_value(inner, x) for x in xs]
+        spec = inner
+        if h is not None:
+            spec = Conjugated(inner, h)
+            xs = [reference_pl_apply(h.points, x) for x in xs]
+            want = [reference_pl_apply(h.points, y) for y in want]
+        q = math.lcm(*(x.denominator for x in xs))
+        ps = [x.numerator * (q // x.denominator) for x in xs]
+        assert systems.values_at(spec, ps, q) == want
+        assert [evaluate(spec, x) for x in xs] == want
 
     @settings(max_examples=100, deadline=None)
     @given(
